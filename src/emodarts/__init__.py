@@ -17,11 +17,10 @@ from .tensor import (Tensor, as_tensor, avg_pool2d, batch_norm, concat,
                      stack, tanh)
 from .optim import SGD, Adam, CosineSchedule, clip_grad_norm, cosine_lr
 from .ops import CNN_OPS, SEQNN_OPS, Module, count_params
-from .cell import Cell, MixedEdge, augment_scope, discretize_edge, \
-    init_cell, num_edges
+from .cell import Cell, MixedEdge, augment_scope, discretize_edge, num_edges
 from .config import SearchConfig
-from .supernet import (Supernet, build_supernet, flatten_bridge,
-                       param_partition, reduction_positions)
+from .supernet import (Backbone, Supernet, build_supernet, flatten_bridge,
+                       reduction_positions)
 from .metrics import ua, wa
 from .search import (HISTORY_COLUMNS, EpochStats, alpha_entropy, search,
                      write_history_csv)

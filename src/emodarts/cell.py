@@ -4,7 +4,9 @@ A cell is a small DAG: `num_inputs` input nodes followed by B intermediate
 nodes, with an edge from every earlier node to every intermediate node.
 Each edge holds one instance of every candidate op in the scope, and its
 output is the softmax(alpha)-weighted sum of all candidates. A node's
-value is the sum of its incoming edge outputs.
+value is the sum of its incoming edge outputs. `eval_cell` runs that
+graph for both the search cells here and the discrete cells of derived
+models.
 
 CNN cells concatenate the intermediate nodes along channels (output width
 B * channels); SeqNN cells average them elementwise (width stays hidden).
@@ -20,7 +22,7 @@ from .errors import ContractViolation
 from .ops import Module, build_cnn_op, build_seq_op
 from .tensor import Tensor, concat, softmax, stack
 
-__all__ = ["MixedEdge", "Cell", "init_cell", "num_edges", "augment_scope",
+__all__ = ["MixedEdge", "Cell", "eval_cell", "num_edges", "augment_scope",
            "discretize_edge"]
 
 
@@ -38,6 +40,31 @@ def augment_scope(scope) -> list[str]:
         if extra not in out:
             out.append(extra)
     return out
+
+
+def eval_cell(kind: str, inputs: list[Tensor], sources: list[list[int]],
+              edge) -> Tensor:
+    """Run a cell graph. sources[n] lists the states feeding intermediate
+    node n (inputs first, then earlier nodes); edge(k, x) is the output of
+    the k-th edge, counted node by node in that order. A node sums its
+    edges; CNN cells concatenate the nodes along channels, SeqNN cells
+    average them."""
+    states = list(inputs)
+    k = 0
+    for srcs in sources:
+        acc = None
+        for i in srcs:
+            out = edge(k, states[i])
+            acc = out if acc is None else acc + out
+            k += 1
+        states.append(acc)
+    nodes = states[len(inputs):]
+    if kind == "cnn":
+        return concat(nodes, axis=1)
+    total = nodes[0]
+    for node in nodes[1:]:
+        total = total + node
+    return total * (1.0 / len(nodes))
 
 
 class MixedEdge(Module):
@@ -116,30 +143,9 @@ class Cell(Module):
             raise ContractViolation(
                 f"alpha table has {alphas.shape[0]} rows, cell has "
                 f"{len(self.edges)} edges")
-        states = list(inputs)
-        e = 0
-        acc_nodes = []
-        for j in range(self.b):
-            acc = None
-            for i in range(self.num_inputs + j):
-                out = self.edges[e](states[i], alphas[e])
-                acc = out if acc is None else acc + out
-                e += 1
-            states.append(acc)
-            acc_nodes.append(acc)
-        if self.kind == "cnn":
-            return concat(acc_nodes, axis=1)
-        total = acc_nodes[0]
-        for node in acc_nodes[1:]:
-            total = total + node
-        return total * (1.0 / self.b)
-
-
-def init_cell(kind: str, scope, width: int, b: int, reduction: bool,
-              rng: np.random.Generator, num_inputs: int = 2,
-              affine: bool = False) -> Cell:
-    return Cell(kind, scope, width, b, reduction, rng,
-                num_inputs=num_inputs, affine=affine)
+        sources = [list(range(self.num_inputs + j)) for j in range(self.b)]
+        return eval_cell(self.kind, inputs, sources,
+                         lambda k, x: self.edges[k](x, alphas[k]))
 
 
 def discretize_edge(alpha_row: np.ndarray, op_names: list[str]):

@@ -37,7 +37,6 @@ class SearchConfig:
     arch_weight_decay: float = 1e-3
     grad_clip: float = 0.0     # 0 disables clipping; > 0 caps global grad norm
     dropout: float = 0.3       # derived-model head dropout
-    time_pool: str = "mean"
     seed: int = 0
     baseline_channels: int = 8
     baseline_dense: int = 64
@@ -58,8 +57,6 @@ class SearchConfig:
             raise ContractViolation("epochs and batch_size must be positive")
         if not (0.0 <= self.dropout < 1.0) or self.grad_clip < 0.0:
             raise ContractViolation("dropout in [0, 1), grad_clip >= 0")
-        if self.time_pool != "mean":
-            raise ContractViolation(f"unknown time_pool {self.time_pool!r}")
         allowed = set(SEQNN_OPS) | {"skip_connect", "none"}
         bad = [s for s in self.seq_scope if s not in allowed]
         if bad or not self.seq_scope:

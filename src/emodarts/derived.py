@@ -1,10 +1,10 @@
 """Discrete models instantiated from genomes.
 
-A derived model rebuilds the supernet's macro layout (stem, CNN chain,
-flatten bridge, SeqNN chain, head) but each cell keeps only the genome's
-retained edges, each realized as a single op with fresh weights. Norm
-layers run with affine enabled, and dropout is applied to the pooled
-features before the head during training.
+A derived model runs on the same `Backbone` as the search network (stem,
+CNN chain, flatten bridge, SeqNN chain, head), but each cell keeps only
+the genome's retained edges, each realized as a single op with fresh
+weights. Norm layers run with affine enabled, and dropout is applied to
+the pooled features before the head during training.
 
 Checkpoints are one JSON header line (genome, config, seed, input size)
 followed by the raw little-endian float64 payload: every trainable array
@@ -22,20 +22,23 @@ import numpy as np
 
 from .config import SearchConfig
 from .errors import ContractViolation, DataError, NumericFault
-from .genome import GENOME_VERSION, Genome, deserialize, serialize
+from .genome import Genome, deserialize, serialize
 from .metrics import ua as ua_metric
 from .metrics import wa as wa_metric
 from .optim import SGD, CosineSchedule, clip_grad_norm, cosine_lr
-from .ops import (Linear, Module, build_cnn_op, build_seq_op, count_params)
-from .supernet import (FactorizedReduce, ReLUConvNorm, Stem, flatten_bridge,
-                       reduction_positions)
-from .tensor import Tensor, concat, cross_entropy, dropout, softmax
+from .cell import eval_cell
+from .ops import Module, build_cnn_op, build_seq_op, count_params
+from .search import _as_xy
+from .supernet import Backbone
+from .tensor import Tensor, cross_entropy, dropout
 
 __all__ = ["DerivedCell", "DerivedModel", "instantiate", "train_derived",
            "DerivedEpoch", "TRAIN_COLUMNS", "write_train_csv", "evaluate",
-           "save_checkpoint", "load_checkpoint", "count_params"]
+           "save_checkpoint", "load_checkpoint", "count_params",
+           "CHECKPOINT_VERSION"]
 
 TRAIN_COLUMNS = ["epoch", "loss", "ua", "lr"]
+CHECKPOINT_VERSION = 2
 
 
 class DerivedCell(Module):
@@ -44,121 +47,62 @@ class DerivedCell(Module):
     def __init__(self, kind: str, edges: list[dict], width: int, b: int,
                  reduction: bool, rng: np.random.Generator):
         self.kind = kind
-        self.b = b
         self.reduction = reduction
-        incoming: dict[int, list] = {j: [] for j in range(2, 2 + b)}
+        self.sources: list[list[int]] = [[] for _ in range(b)]
+        self.ops: list[Module] = []
         for e in sorted(edges, key=lambda e: (e["to_node"], e["from_node"])):
             i, j, name = e["from_node"], e["to_node"], e["op"]
-            if j not in incoming or not 0 <= i < j:
+            if not (2 <= j < 2 + b and 0 <= i < j):
                 raise ContractViolation(
                     f"edge ({i} -> {j}) does not fit a {b}-node cell")
             stride = 2 if (reduction and i < 2) else 1
             if kind == "cnn":
-                op = build_cnn_op(name, width, stride, rng, affine=True)
+                self.ops.append(build_cnn_op(name, width, stride, rng, True))
             else:
-                op = build_seq_op(name, width, width, rng)
-            incoming[j].append((i, op))
-        for j, ops in incoming.items():
-            if not ops:
+                self.ops.append(build_seq_op(name, width, width, rng))
+            self.sources[j - 2].append(i)
+        for j, srcs in enumerate(self.sources, 2):
+            if not srcs:
                 raise ContractViolation(
                     f"node {j} has no retained incoming edges")
-        self.sources = [[i for i, _ in incoming[j]] for j in range(2, 2 + b)]
-        self.ops = [[op for _, op in incoming[j]] for j in range(2, 2 + b)]
 
     def forward(self, inputs: list[Tensor]) -> Tensor:
-        states = list(inputs)
-        nodes = []
-        for srcs, ops in zip(self.sources, self.ops):
-            acc = None
-            for i, op in zip(srcs, ops):
-                out = op(states[i])
-                acc = out if acc is None else acc + out
-            states.append(acc)
-            nodes.append(acc)
-        if self.kind == "cnn":
-            return concat(nodes, axis=1)
-        total = nodes[0]
-        for node in nodes[1:]:
-            total = total + node
-        return total * (1.0 / self.b)
+        return eval_cell(self.kind, inputs, self.sources,
+                         lambda k, x: self.ops[k](x))
 
 
-class DerivedModel(Module):
+class DerivedModel(Backbone):
+    """The supernet's macro chain with discrete cells and fresh weights.
+    Norms are affine, and dropout precedes the head while training."""
+
     def __init__(self, genome: Genome, config: SearchConfig, seed: int,
                  input_hw: tuple[int, int]):
         echo = genome.config
-        c_cells, n_cells = echo["C"], echo["N"]
-        b_cnn, b_seq = echo["B"]["cnn"], echo["B"]["seqnn"]
-        channels, hidden = echo["channels"], echo["hidden"]
-        rng = np.random.default_rng([seed, 0xDE1])
         self._mask_rng = np.random.default_rng([seed, 0xD0])
         self.genome = genome
         self.config = config
         self.seed = int(seed)
-        self.input_hw = tuple(int(v) for v in input_hw)
+        super().__init__(echo["C"], echo["N"], echo["B"]["cnn"],
+                         echo["channels"], echo["hidden"], config.classes,
+                         input_hw, np.random.default_rng([seed, 0xDE1]),
+                         affine=True)
 
-        self.stem = Stem(channels, rng, affine=True)
-        self.cnn_pre0: list[Module] = []
-        self.cnn_pre1: list[Module] = []
-        self.cnn_cells: list[DerivedCell] = []
-        reductions = reduction_positions(c_cells)
-        cpp, cp = channels, channels
-        reduction_prev = False
-        h, w = self.input_hw
-        for k in range(c_cells):
-            red = k in reductions
-            blueprint = genome.cnn_reduce if red else genome.cnn_normal
-            if not blueprint:
-                raise ContractViolation(
-                    f"genome lacks a {'reduction' if red else 'normal'} "
-                    f"blueprint needed at CNN position {k}")
-            if reduction_prev:
-                self.cnn_pre0.append(FactorizedReduce(cpp, channels, rng, True))
-            else:
-                self.cnn_pre0.append(ReLUConvNorm(cpp, channels, rng, True))
-            self.cnn_pre1.append(ReLUConvNorm(cp, channels, rng, True))
-            self.cnn_cells.append(
-                DerivedCell("cnn", blueprint, channels, b_cnn, red, rng))
-            cpp, cp = cp, b_cnn * channels
-            reduction_prev = red
-            if red:
-                h, w = (h + 1) // 2, (w + 1) // 2
-
-        feat = (cp if c_cells > 0 else channels) * w
-        self.seq_pre0: list[Module] = []
-        self.seq_pre1: list[Module] = []
-        self.seq_cells: list[DerivedCell] = []
-        wpp, wp = feat, feat
-        for _ in range(n_cells):
-            if not genome.seqnn:
-                raise ContractViolation("genome lacks a SeqNN blueprint")
-            self.seq_pre0.append(Linear(wpp, hidden, rng))
-            self.seq_pre1.append(Linear(wp, hidden, rng))
-            self.seq_cells.append(
-                DerivedCell("seqnn", genome.seqnn, hidden, b_seq, False, rng))
-            wpp, wp = wp, hidden
-        self.head = Linear(wp, config.classes, rng)
+    def _cell(self, kind: str, reduction: bool,
+              rng: np.random.Generator) -> DerivedCell:
+        g, echo = self.genome, self.genome.config
+        part, blueprint = (("SeqNN", g.seqnn) if kind == "seqnn" else
+                           ("reduction", g.cnn_reduce) if reduction else
+                           ("normal", g.cnn_normal))
+        if not blueprint:
+            raise ContractViolation(f"genome lacks a {part} blueprint")
+        width = echo["channels"] if kind == "cnn" else echo["hidden"]
+        return DerivedCell(kind, blueprint, width, echo["B"][kind], reduction,
+                           rng)
 
     def forward_logits(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise ContractViolation(
-                f"derived model expects (B, 1, H, W), got {x.shape}")
-        s = self.stem(x)
-        s0 = s1 = s
-        for pre0, pre1, cell in zip(self.cnn_pre0, self.cnn_pre1, self.cnn_cells):
-            out = cell([pre0(s0), pre1(s1)])
-            s0, s1 = s1, out
-        q0 = q1 = flatten_bridge(s1)
-        for pre0, pre1, cell in zip(self.seq_pre0, self.seq_pre1, self.seq_cells):
-            out = cell([pre0(q0), pre1(q1)])
-            q0, q1 = q1, out
-        pooled = q1.mean(axis=1)
-        pooled = dropout(pooled, self.config.dropout, self._mask_rng,
+        pooled = dropout(self.pooled(x), self.config.dropout, self._mask_rng,
                          self.training)
         return self.head(pooled)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return softmax(self.forward_logits(x), axis=-1)
 
 
 def instantiate(genome: Genome, config: SearchConfig, seed: int,
@@ -178,15 +122,11 @@ class DerivedEpoch:
 
 
 def train_derived(model: DerivedModel, train_split, config: SearchConfig,
-                  epochs: int | None = None, on_epoch=None) -> list[DerivedEpoch]:
+                  epochs: int | None = None) -> list[DerivedEpoch]:
     """Train with the same optimizer family the search weight step uses:
     momentum SGD under a cosine schedule from lr_max to lr_min, reaching
     lr_min exactly on the final epoch's history row."""
-    x, y = train_split
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim == 3:
-        x = x[:, None]
+    x, y = _as_xy(train_split, "train")
     epochs = config.epochs if epochs is None else int(epochs)
     if epochs < 1:
         raise ContractViolation("train_derived needs epochs >= 1")
@@ -220,8 +160,6 @@ def train_derived(model: DerivedModel, train_split, config: SearchConfig,
             preds.append(logits.data.argmax(axis=1))
         epoch_ua = ua_metric(np.concatenate(labels), np.concatenate(preds))
         history.append(DerivedEpoch(epoch, loss_sum / len(x), epoch_ua, lr))
-        if on_epoch is not None:
-            on_epoch(history[-1])
     return history
 
 
@@ -236,11 +174,7 @@ def write_train_csv(history: list[DerivedEpoch], path) -> None:
 
 def evaluate(model: DerivedModel, split, batch_size: int = 64):
     """(UA, WA) on a labeled split, in eval mode."""
-    x, y = split
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim == 3:
-        x = x[:, None]
+    x, y = _as_xy(split, "evaluation")
     was_training = model.training
     model.set_training(False)
     preds = []
@@ -261,7 +195,7 @@ def _state_arrays(model: DerivedModel) -> list[np.ndarray]:
 def save_checkpoint(model: DerivedModel, path) -> None:
     header = {
         "format": "emodarts-checkpoint",
-        "version": GENOME_VERSION,
+        "version": CHECKPOINT_VERSION,
         "genome": json.loads(serialize(model.genome)),
         "config": model.config.to_dict(),
         "seed": model.seed,
@@ -276,6 +210,10 @@ def save_checkpoint(model: DerivedModel, path) -> None:
         fh.write(payload.tobytes())
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_checkpoint(path):
     """Rebuild the saved model; returns (model, genome, config, seed)."""
     with open(path, "rb") as fh:
@@ -285,17 +223,27 @@ def load_checkpoint(path):
         header = json.loads(head_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"checkpoint header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError("checkpoint header is not a JSON object")
     for key in ("format", "version", "genome", "config", "seed", "input_hw"):
         if key not in header:
             raise DataError(f"checkpoint header is missing {key!r}")
     if header["format"] != "emodarts-checkpoint":
         raise DataError(f"not a checkpoint file: format {header['format']!r}")
-    if header["version"] != GENOME_VERSION:
+    if header["version"] != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {header['version']!r}")
+    hw, seed = header["input_hw"], header["seed"]
+    if not (isinstance(hw, list) and len(hw) == 2
+            and all(_is_int(v) and v > 0 for v in hw)):
+        raise DataError(f"checkpoint input_hw {hw!r} is not two positive ints")
+    if not _is_int(seed) or seed < 0:
+        raise DataError(f"checkpoint seed {seed!r} is not a non-negative int")
+    for key in ("genome", "config"):
+        if not isinstance(header[key], dict):
+            raise DataError(f"checkpoint {key} is not an object")
     genome = deserialize(json.dumps(header["genome"]))
     config = SearchConfig.from_dict(header["config"])
-    model = instantiate(genome, config, int(header["seed"]),
-                        tuple(header["input_hw"]))
+    model = instantiate(genome, config, seed, tuple(hw))
     arrays = _state_arrays(model)
     want = sum(a.size for a in arrays)
     flat = np.frombuffer(payload, dtype="<f8")
@@ -307,4 +255,4 @@ def load_checkpoint(path):
         chunk = flat[offset:offset + a.size].reshape(a.shape)
         np.copyto(a, chunk)
         offset += a.size
-    return model, genome, config, int(header["seed"])
+    return model, genome, config, seed

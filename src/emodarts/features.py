@@ -253,6 +253,8 @@ def load_edset(path) -> Dataset:
         if key not in header:
             raise DataError(f"dataset header is missing {key!r}")
     n = header["count"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DataError(f"bad count {n!r}")
     dims = header["dims"]
     if (not isinstance(dims, list) or len(dims) != 2
             or not all(isinstance(d, int) and d > 0 for d in dims)):

@@ -7,13 +7,12 @@ SGD under a cosine schedule). The shorter stream recycles until the longer
 one is exhausted. Coefficients and weights belong to disjoint optimizers,
 so neither step can touch the other group.
 
-History carries one row per epoch; wall-clock seconds stay in memory and
-never reach the CSV, which keeps written artifacts byte-reproducible.
+History carries one row per epoch and nothing that depends on the clock,
+which keeps written artifacts byte-reproducible.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .config import SearchConfig
 from .errors import ContractViolation, NumericFault
 from .metrics import ua as ua_metric
 from .optim import SGD, Adam, CosineSchedule, clip_grad_norm, cosine_lr
-from .supernet import Supernet, param_partition
+from .supernet import Supernet
 from .tensor import Tensor, cross_entropy
 
 __all__ = ["EpochStats", "HISTORY_COLUMNS", "alpha_entropy", "search",
@@ -42,7 +41,6 @@ class EpochStats:
     lr: float
     entropy_cnn: float
     entropy_seqnn: float
-    seconds: float      # in-memory diagnostic, excluded from the CSV
 
 
 def alpha_entropy(table: np.ndarray) -> float:
@@ -112,7 +110,7 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
     """
     xt, yt = _as_xy(train_split, "train")
     xs, ys = _as_xy(search_split, "search")
-    weights, alphas = param_partition(net)
+    weights, alphas = net.params(), net.arch_params()
     if not alphas:
         raise ContractViolation("nothing to search: no coefficient tables")
     w_opt = SGD(weights, lr=config.lr_max, momentum=config.momentum,
@@ -141,7 +139,6 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
 
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
-        t0 = time.perf_counter()
         lr = cosine_lr(sched, min(epoch, sched.total_epochs))
         w_opt.set_lr(lr)
         tb = _batches(len(xt), config.batch_size, rng)
@@ -173,8 +170,7 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
         t_loss, t_ua = run_t.summary()
         ent_cnn, ent_seq = _component_entropies(net)
         history.append(EpochStats(epoch, s_loss, s_ua, t_loss, t_ua, lr,
-                                  ent_cnn, ent_seq,
-                                  time.perf_counter() - t0))
+                                  ent_cnn, ent_seq))
     return history
 
 

@@ -1,15 +1,17 @@
-"""The one-shot search network.
+"""The macro chain and the one-shot search network.
 
 Layout: a 3x3 stem lifts the single-channel spectrogram to the CNN working
 width, C CNN cells follow (each fed the two previous cell outputs, with
 reduction cells at floor(C/3) and floor(2C/3)), a flatten bridge turns the
 CNN map into a sequence, N SeqNN cells refine it, and a mean over time plus
-a dense layer produce class logits.
+a dense layer produce class logits. `Backbone` builds and runs that chain;
+the search network (`Supernet`) and the derived models differ only in
+their cells and in how a cell is called.
 
-Architecture coefficients live here, one table per cell kind that actually
-exists (normal CNN, reduction CNN, SeqNN), shared by all cells of that
-kind. They are kept out of params() so the two optimizer groups cannot
-overlap.
+Architecture coefficients live in the search network, one table per cell
+kind that actually exists (normal CNN, reduction CNN, SeqNN), shared by
+all cells of that kind. They are kept out of params() so the two
+optimizer groups cannot overlap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import ContractViolation
 from .ops import CNN_OPS, BatchNorm2d, Linear, Module, _uniform
 from .tensor import Tensor, concat, conv2d, cross_entropy, relu, softmax
 
-__all__ = ["Supernet", "build_supernet", "flatten_bridge", "param_partition",
+__all__ = ["Backbone", "Supernet", "build_supernet", "flatten_bridge",
            "reduction_positions", "Stem", "ReLUConvNorm", "FactorizedReduce"]
 
 
@@ -88,77 +90,115 @@ class FactorizedReduce(Module):
         return self.norm(concat([a, b], axis=1))
 
 
-class Supernet(Module):
-    def __init__(self, config: SearchConfig, rng: np.random.Generator):
-        config.validate()
-        self.config = config
-        cfg = config
-        affine = False      # search runs with affine norms off
-        self.stem = Stem(cfg.channels, rng, affine)
+class Backbone(Module):
+    """Stem, CNN chain, flatten bridge, SeqNN chain and head.
 
+    A subclass sets what its cell factories need, then calls this
+    constructor, which draws from `rng` in the order stem, CNN chain,
+    `_init_arch`, SeqNN chain, head. The subclass supplies the cells
+    (`_cell`) and, if a cell takes more than its inputs, how it is called
+    (`_call_cell`). Attribute order fixes the order of params().
+    """
+
+    def __init__(self, c_cells: int, n_cells: int, b_cnn: int, channels: int,
+                 hidden: int, classes: int, input_hw, rng: np.random.Generator,
+                 affine: bool):
+        self.input_hw = tuple(int(v) for v in input_hw)
+        if len(self.input_hw) != 2 or min(self.input_hw) < 1:
+            raise ContractViolation(f"input_hw must be (H, W), got {input_hw}")
+        h, w = self.input_hw
+        self.stem = Stem(channels, rng, affine)
         self.cnn_pre0: list[Module] = []
         self.cnn_pre1: list[Module] = []
-        self.cnn_cells: list[Cell] = []
-        reductions = reduction_positions(cfg.C)
-        cpp, cp = cfg.channels, cfg.channels
-        reduction_prev = False
-        for k in range(cfg.C):
+        self.cnn_cells: list[Module] = []
+        reductions = reduction_positions(c_cells)
+        cpp = cp = channels
+        for k in range(c_cells):
             red = k in reductions
-            if reduction_prev:
-                self.cnn_pre0.append(FactorizedReduce(cpp, cfg.channels, rng, affine))
-            else:
-                self.cnn_pre0.append(ReLUConvNorm(cpp, cfg.channels, rng, affine))
-            self.cnn_pre1.append(ReLUConvNorm(cp, cfg.channels, rng, affine))
-            self.cnn_cells.append(Cell("cnn", CNN_OPS, cfg.channels, cfg.B_cnn,
-                                       red, rng, affine=affine))
-            cpp, cp = cp, cfg.B_cnn * cfg.channels
-            reduction_prev = red
-        self._cnn_out_channels = cp if cfg.C > 0 else cfg.channels
+            # after a reduction, the older input still has the larger map
+            pre0 = FactorizedReduce if k - 1 in reductions else ReLUConvNorm
+            self.cnn_pre0.append(pre0(cpp, channels, rng, affine))
+            self.cnn_pre1.append(ReLUConvNorm(cp, channels, rng, affine))
+            self.cnn_cells.append(self._cell("cnn", red, rng))
+            cpp, cp = cp, b_cnn * channels
+            if red:
+                h, w = (h + 1) // 2, (w + 1) // 2
+        self._init_arch(rng)
 
-        self.seq_scope = augment_scope(cfg.seq_scope)
         self.seq_pre0: list[Module] = []
         self.seq_pre1: list[Module] = []
-        self.seq_cells: list[Cell] = []
-        # the sequence stage's input width depends on the input spatial
-        # size, so it is built on first use (or eagerly via build_supernet)
-        self._seq_built = False
-        self._rng = rng
+        self.seq_cells: list[Module] = []
+        wpp = wp = cp * w
+        for _ in range(n_cells):
+            self.seq_pre0.append(Linear(wpp, hidden, rng))
+            self.seq_pre1.append(Linear(wp, hidden, rng))
+            self.seq_cells.append(self._cell("seqnn", False, rng))
+            wpp, wp = wp, hidden
+        self.head = Linear(wp, classes, rng)
 
-        self.head: Linear | None = None
+    def _init_arch(self, rng: np.random.Generator) -> None:
+        """Draws made between the CNN and SeqNN chains; none by default."""
 
-        # alpha tables, one per existing cell kind (dict keeps them out of
-        # params(), so the weight optimizer never sees them)
-        self._alphas: dict[str, Tensor] = {}
-        has_normal = any(not c.reduction for c in self.cnn_cells)
-        has_reduce = any(c.reduction for c in self.cnn_cells)
-        if has_normal:
-            self._alphas["cnn_normal"] = Tensor(
-                rng.normal(0.0, 1e-3, (num_edges(cfg.B_cnn), len(CNN_OPS))),
-                requires_grad=True)
-        if has_reduce:
-            self._alphas["cnn_reduce"] = Tensor(
-                rng.normal(0.0, 1e-3, (num_edges(cfg.B_cnn), len(CNN_OPS))),
-                requires_grad=True)
-        if cfg.N > 0:
-            self._alphas["seqnn"] = Tensor(
-                rng.normal(0.0, 1e-3,
-                           (num_edges(cfg.B_seqnn), len(self.seq_scope))),
-                requires_grad=True)
+    def _call_cell(self, cell: Module, inputs: list[Tensor]) -> Tensor:
+        return cell(inputs)
 
-    # ---- lazy sequence stage ----
+    def pooled(self, x: Tensor) -> Tensor:
+        """The chain up to the time-averaged SeqNN output."""
+        if x.ndim != 4 or x.shape[1:] != (1,) + self.input_hw:
+            raise ContractViolation(
+                f"{type(self).__name__} expects (B, 1, {self.input_hw[0]}, "
+                f"{self.input_hw[1]}) input, got {x.shape}")
+        s0 = s1 = self.stem(x)
+        for pre0, pre1, cell in zip(self.cnn_pre0, self.cnn_pre1, self.cnn_cells):
+            s0, s1 = s1, self._call_cell(cell, [pre0(s0), pre1(s1)])
+        q0 = q1 = flatten_bridge(s1)
+        for pre0, pre1, cell in zip(self.seq_pre0, self.seq_pre1, self.seq_cells):
+            q0, q1 = q1, self._call_cell(cell, [pre0(q0), pre1(q1)])
+        return q1.mean(axis=1)
 
-    def _build_seq(self, feat: int) -> None:
+    def forward_logits(self, x: Tensor) -> Tensor:
+        return self.head(self.pooled(x))
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Class probabilities; use forward_logits with cross_entropy for
+        training."""
+        return softmax(self.forward_logits(x), axis=-1)
+
+
+class Supernet(Backbone):
+    def __init__(self, config: SearchConfig, rng: np.random.Generator,
+                 input_hw: tuple[int, int]):
+        config.validate()
+        self.config = config
+        self.seq_scope = augment_scope(config.seq_scope)
+        super().__init__(config.C, config.N, config.B_cnn, config.channels,
+                         config.hidden, config.classes, input_hw, rng,
+                         affine=False)   # search runs with affine norms off
+
+    def _cell(self, kind: str, reduction: bool,
+              rng: np.random.Generator) -> Cell:
         cfg = self.config
-        wpp, wp = feat, feat
-        for _ in range(cfg.N):
-            self.seq_pre0.append(Linear(wpp, cfg.hidden, self._rng))
-            self.seq_pre1.append(Linear(wp, cfg.hidden, self._rng))
-            self.seq_cells.append(Cell("seqnn", self.seq_scope, cfg.hidden,
-                                       cfg.B_seqnn, False, self._rng))
-            wpp, wp = wp, cfg.hidden
-        self.head = Linear(wp, cfg.classes, self._rng)
-        self._seq_built = True
-        self._seq_feat = feat
+        if kind == "cnn":
+            return Cell(kind, CNN_OPS, cfg.channels, cfg.B_cnn, reduction, rng)
+        return Cell(kind, self.seq_scope, cfg.hidden, cfg.B_seqnn, False, rng)
+
+    def _init_arch(self, rng: np.random.Generator) -> None:
+        # one table per existing cell kind; a dict keeps them out of
+        # params(), so the weight optimizer never sees them
+        cfg = self.config
+        kinds = {cell.reduction for cell in self.cnn_cells}
+        tables = [("cnn_normal", False in kinds, cfg.B_cnn, len(CNN_OPS)),
+                  ("cnn_reduce", True in kinds, cfg.B_cnn, len(CNN_OPS)),
+                  ("seqnn", cfg.N > 0, cfg.B_seqnn, len(self.seq_scope))]
+        self._alphas: dict[str, Tensor] = {
+            key: Tensor(rng.normal(0.0, 1e-3, (num_edges(b), n_ops)),
+                        requires_grad=True)
+            for key, present, b, n_ops in tables if present}
+
+    def _call_cell(self, cell: Cell, inputs: list[Tensor]) -> Tensor:
+        key = ("seqnn" if cell.kind == "seqnn" else
+               "cnn_reduce" if cell.reduction else "cnn_normal")
+        return cell(inputs, self._alphas[key])
 
     # ---- alpha access ----
 
@@ -173,60 +213,11 @@ class Supernet(Module):
         """Snapshot of the coefficient tables as plain arrays."""
         return {k: v.data.copy() for k, v in self._alphas.items()}
 
-    # ---- forward ----
-
-    def forward_logits(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise ContractViolation(
-                f"supernet expects (B, 1, H, W) input, got {x.shape}")
-        s = self.stem(x)
-        s0 = s1 = s
-        for pre0, pre1, cell in zip(self.cnn_pre0, self.cnn_pre1, self.cnn_cells):
-            table = self._alphas["cnn_reduce" if cell.reduction else "cnn_normal"]
-            out = cell([pre0(s0), pre1(s1)], table)
-            s0, s1 = s1, out
-        seq = flatten_bridge(s1)
-        if not self._seq_built:
-            self._build_seq(seq.shape[2])
-        elif seq.shape[2] != self._seq_feat:
-            raise ContractViolation(
-                f"sequence stage was built for feature width {self._seq_feat}, "
-                f"got {seq.shape[2]}")
-        q0 = q1 = seq
-        for pre0, pre1, cell in zip(self.seq_pre0, self.seq_pre1, self.seq_cells):
-            out = cell([pre0(q0), pre1(q1)], self._alphas["seqnn"])
-            q0, q1 = q1, out
-        pooled = q1.mean(axis=1)
-        return self.head(pooled)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Class probabilities; use forward_logits with cross_entropy for
-        training."""
-        return softmax(self.forward_logits(x), axis=-1)
-
     def loss(self, x: Tensor, labels: np.ndarray) -> Tensor:
         return cross_entropy(self.forward_logits(x), labels)
 
 
 def build_supernet(config: SearchConfig, rng: np.random.Generator,
-                   input_hw: tuple[int, int] | None = None) -> Supernet:
-    """Construct the supernet; passing the input spatial size builds the
-    sequence stage eagerly so all parameters exist up front."""
-    net = Supernet(config, rng)
-    if input_hw is not None:
-        h, w = input_hw
-        c = config.channels
-        for k in range(config.C):
-            if k in reduction_positions(config.C):
-                h, w = (h + 1) // 2, (w + 1) // 2
-        feat = (config.B_cnn * c if config.C > 0 else c) * w
-        net._build_seq(feat)
-    return net
-
-
-def param_partition(net: Supernet):
-    """Split trainable state into (network weights, architecture
-    coefficients). The groups are disjoint and exhaustive."""
-    weights = net.params()
-    alphas = net.arch_params()
-    return weights, alphas
+                   input_hw: tuple[int, int]) -> Supernet:
+    """Construct the search network for inputs of spatial size input_hw."""
+    return Supernet(config, rng, input_hw)

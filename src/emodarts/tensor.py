@@ -193,9 +193,17 @@ class Tensor:
         a = self
         out = a.data[key]
 
+        # an index array may repeat an entry, and each repeat must add its
+        # share; slices and ints keep the faster in-place add
+        fancy = any(isinstance(k, (list, np.ndarray))
+                    for k in (key if isinstance(key, tuple) else (key,)))
+
         def vjp(g):
             dx = np.zeros_like(a.data)
-            dx[key] += g
+            if fancy:
+                np.add.at(dx, key, g)
+            else:
+                dx[key] += g
             return (dx,)
 
         return Tensor._make(out, (a,), vjp)

@@ -25,8 +25,7 @@ from emodarts.harness import speaker_cv_split
 from emodarts.metrics import ua, wa
 from emodarts.ops import CNN_OPS, SEQNN_OPS, build_cnn_op, build_seq_op
 from emodarts.search import search
-from emodarts.supernet import (build_supernet, param_partition,
-                               reduction_positions)
+from emodarts.supernet import build_supernet, reduction_positions
 from emodarts.config import SearchConfig
 from emodarts.tensor import Tensor, finite_diff_grad
 
@@ -154,7 +153,7 @@ def test_criterion_01_gradients(verdict):
     net = build_supernet(cfg, np.random.default_rng(7), input_hw=(8, 8))
     xb = _separated(rng, (2, 1, 8, 8))
     yb = np.array([0, 1])
-    weights, alphas = param_partition(net)
+    weights, alphas = net.params(), net.arch_params()
     targets = [weights[0], weights[-1]] + list(alphas)
     for k, target in enumerate(targets):
 
@@ -295,7 +294,7 @@ def test_criterion_05_alternation_isolation(verdict):
                        seq_scope=("rnn_1",), epochs=2, batch_size=8,
                        dropout=0.0, seed=5)
     net = build_supernet(cfg, np.random.default_rng(5), input_hw=(16, 16))
-    weights, alphas = param_partition(net)
+    weights, alphas = net.params(), net.arch_params()
 
     def wbytes():
         return [p.data.tobytes() for p in weights]

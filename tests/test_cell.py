@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from emodarts import ContractViolation, Tensor
-from emodarts.cell import (Cell, augment_scope, discretize_edge, init_cell,
-                           num_edges)
+from emodarts.cell import Cell, augment_scope, discretize_edge, num_edges
 from emodarts.ops import CNN_OPS, RecurrentStack, SkipConnect, count_params
 
 
@@ -21,14 +20,14 @@ def alpha_for(cell, seed=1, scale=1e-3):
 @pytest.mark.parametrize("b,want", [(1, 2), (2, 5), (3, 9), (4, 14), (5, 20), (6, 27)])
 def test_edge_count_formula_two_inputs(b, want):
     assert num_edges(b) == b * (b + 3) // 2 == want
-    cell = init_cell("cnn", CNN_OPS, 4, b, False, rng())
+    cell = Cell("cnn", CNN_OPS, 4, b, False, rng())
     assert cell.n_edges == want
 
 
 def test_four_node_single_input_cell_instantiates_six_of_each_op():
     # 1 input node + 3 intermediates, fully connected: 1+2+3 = 6 edges
     scope = ["lstm_1", "lstm_2", "lstm_att_1"]
-    cell = init_cell("seqnn", scope, 8, 3, False, rng(), num_inputs=1)
+    cell = Cell("seqnn", scope, 8, 3, False, rng(), num_inputs=1)
     assert cell.n_edges == 6
     stacks = [op for e in cell.edges for op in e.ops
               if isinstance(op, RecurrentStack)]
@@ -36,13 +35,13 @@ def test_four_node_single_input_cell_instantiates_six_of_each_op():
 
 
 def test_edge_order_is_to_node_then_from_node():
-    cell = init_cell("cnn", CNN_OPS, 4, 3, False, rng())
+    cell = Cell("cnn", CNN_OPS, 4, 3, False, rng())
     assert cell.edge_index == [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
                                (0, 4), (1, 4), (2, 4), (3, 4)]
 
 
 def test_reduction_stride_only_on_input_node_edges():
-    cell = init_cell("cnn", ["skip_connect"], 4, 3, True, rng())
+    cell = Cell("cnn", ["skip_connect"], 4, 3, True, rng())
     for (i, j), edge in zip(cell.edge_index, cell.edges):
         op = edge.ops[0]
         assert isinstance(op, SkipConnect)
@@ -50,14 +49,14 @@ def test_reduction_stride_only_on_input_node_edges():
 
 
 def test_normal_cell_forward_concatenates_channels():
-    cell = init_cell("cnn", CNN_OPS, 8, 4, False, rng())
+    cell = Cell("cnn", CNN_OPS, 8, 4, False, rng())
     x = [Tensor(rng(2).normal(size=(2, 8, 6, 6))) for _ in range(2)]
     out = cell(x, alpha_for(cell))
     assert out.shape == (2, 32, 6, 6)
 
 
 def test_reduction_cell_halves_spatial_dims():
-    cell = init_cell("cnn", CNN_OPS, 8, 2, True, rng())
+    cell = Cell("cnn", CNN_OPS, 8, 2, True, rng())
     x = [Tensor(rng(3).normal(size=(2, 8, 12, 12))) for _ in range(2)]
     out = cell(x, alpha_for(cell))
     assert out.shape == (2, 16, 6, 6)
@@ -65,7 +64,7 @@ def test_reduction_cell_halves_spatial_dims():
 
 def test_seq_cell_forward_keeps_width_by_averaging():
     scope = augment_scope(["lstm_1", "rnn_1"])
-    cell = init_cell("seqnn", scope, 8, 3, False, rng())
+    cell = Cell("seqnn", scope, 8, 3, False, rng())
     x = [Tensor(rng(4).normal(size=(2, 5, 8))) for _ in range(2)]
     out = cell(x, alpha_for(cell))
     assert out.shape == (2, 5, 8)
@@ -73,11 +72,11 @@ def test_seq_cell_forward_keeps_width_by_averaging():
 
 def test_seq_cells_reject_reduction():
     with pytest.raises(ContractViolation):
-        init_cell("seqnn", ["rnn_1", "skip_connect", "none"], 8, 2, True, rng())
+        Cell("seqnn", ["rnn_1", "skip_connect", "none"], 8, 2, True, rng())
 
 
 def test_cell_rejects_unprojected_input():
-    cell = init_cell("cnn", CNN_OPS, 8, 2, False, rng())
+    cell = Cell("cnn", CNN_OPS, 8, 2, False, rng())
     bad = [Tensor(np.zeros((2, 5, 6, 6))), Tensor(np.zeros((2, 8, 6, 6)))]
     with pytest.raises(ContractViolation):
         cell(bad, alpha_for(cell))
@@ -90,7 +89,7 @@ def test_augment_scope_appends_skip_and_none_once():
 
 
 def test_one_hot_alpha_recovers_single_op_output():
-    cell = init_cell("cnn", CNN_OPS, 4, 1, False, rng(5))
+    cell = Cell("cnn", CNN_OPS, 4, 1, False, rng(5))
     x = [Tensor(rng(6).normal(size=(1, 4, 6, 6))) for _ in range(2)]
     skip_idx = CNN_OPS.index("skip_connect")
     a = np.full((2, len(CNN_OPS)), -60.0)
@@ -101,7 +100,7 @@ def test_one_hot_alpha_recovers_single_op_output():
 
 
 def test_mixed_edge_matches_manual_convex_combination():
-    cell = init_cell("cnn", ["max_pool_3x3", "skip_connect", "none"],
+    cell = Cell("cnn", ["max_pool_3x3", "skip_connect", "none"],
                      4, 1, False, rng(7))
     x0 = rng(8).normal(size=(1, 4, 5, 5))
     xs = [Tensor(x0), Tensor(np.zeros((1, 4, 5, 5)))]
@@ -116,7 +115,7 @@ def test_mixed_edge_matches_manual_convex_combination():
 
 def test_gradient_reaches_alpha_table():
     scope = augment_scope(["rnn_1"])
-    cell = init_cell("seqnn", scope, 4, 2, False, rng(9))
+    cell = Cell("seqnn", scope, 4, 2, False, rng(9))
     alphas = alpha_for(cell)
     x = [Tensor(rng(10).normal(size=(2, 4, 4))) for _ in range(2)]
     (cell(x, alphas) ** 2.0).sum().backward()
@@ -127,7 +126,7 @@ def test_gradient_reaches_alpha_table():
 
 
 def test_weight_sharing_edges_have_private_parameters():
-    cell = init_cell("cnn", ["sep_conv_3x3"], 8, 2, False, rng(11))
+    cell = Cell("cnn", ["sep_conv_3x3"], 8, 2, False, rng(11))
     assert count_params(cell) == cell.n_edges * 2 * (8 * 9 + 8 * 8)
 
 

@@ -223,6 +223,13 @@ class TestSearch:
                      str(tmp_path / "g.json"),
                      "--config", str(bad)]) == EXIT_IO
 
+    def test_removed_time_pool_key(self, tmp_path, edset):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[search]\ntime_pool = mean\n")
+        assert main(["search", "--data", edset, "--out",
+                     str(tmp_path / "g.json"),
+                     "--config", str(bad)]) == EXIT_IO
+
     def test_config_without_section(self, tmp_path, edset):
         bad = tmp_path / "bad.ini"
         bad.write_text("[other]\nepochs = 2\n")

@@ -8,7 +8,8 @@ import pytest
 
 from emodarts import ContractViolation, DataError, Tensor
 from emodarts.config import SearchConfig
-from emodarts.derived import (DerivedCell, TRAIN_COLUMNS, evaluate,
+from emodarts.derived import (CHECKPOINT_VERSION, DerivedCell, TRAIN_COLUMNS,
+                              evaluate,
                               instantiate, load_checkpoint, save_checkpoint,
                               train_derived, write_train_csv)
 from emodarts.genome import Genome, extract_genome
@@ -192,6 +193,60 @@ def test_checkpoint_rejects_corruption(tmp_path):
     garbled.write_bytes(b"not json\n" + raw.split(b"\n", 1)[1])
     with pytest.raises(DataError):
         load_checkpoint(garbled)
+    # a JSON string holding every key name is not a header object
+    garbled.write_bytes(b'"format version genome config seed input_hw"\n'
+                        + raw.split(b"\n", 1)[1])
+    with pytest.raises(DataError):
+        load_checkpoint(garbled)
+
+
+def _rewrite_header(src, dst, edit):
+    head, payload = src.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    dst.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(input_hw=[16]),
+    lambda h: h.update(input_hw=[16, 0]),
+    lambda h: h.update(input_hw=[16.0, 16]),
+    lambda h: h.update(seed="x"),
+    lambda h: h.update(seed=True),
+    lambda h: h.update(version=1),
+    lambda h: h.update(genome=[]),
+    lambda h: h.update(config="C=2"),
+    lambda h: h["config"].update(time_pool="mean"),
+], ids=["hw-one-value", "hw-zero", "hw-float", "seed-str", "seed-bool",
+        "version-1", "genome-list", "config-str", "config-time-pool"])
+def test_checkpoint_rejects_bad_header_fields(tmp_path, edit):
+    genome, cfg = searched_genome()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(instantiate(genome, cfg, seed=15, input_hw=(16, 16)), path)
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_header(path, bad, edit)
+    with pytest.raises(DataError):
+        load_checkpoint(bad)
+    _rewrite_header(path, bad, lambda h: None)   # the untouched header loads
+    load_checkpoint(bad)
+
+
+def test_checkpoint_header_carries_its_own_version(tmp_path):
+    genome, cfg = searched_genome()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(instantiate(genome, cfg, seed=16, input_hw=(16, 16)), path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["version"] == CHECKPOINT_VERSION == 2
+    assert "time_pool" not in header["config"]
+
+
+def test_input_size_other_than_built_for_is_rejected():
+    genome, cfg = searched_genome()
+    model = instantiate(genome, cfg, seed=17, input_hw=(16, 16))
+    for shape in [(2, 1, 16, 12), (2, 1, 12, 16), (2, 1, 32, 32)]:
+        with pytest.raises(ContractViolation):
+            model(Tensor(np.zeros(shape)))
+    assert model(Tensor(np.zeros((2, 1, 16, 16)))).shape == (2, 4)
 
 
 def test_buffers_follow_params_in_payload(tmp_path):

@@ -1,0 +1,38 @@
+"""Every name in a module's __all__ exists, and every name the package
+re-exports is the object its module exports under that name."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import emodarts
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(emodarts.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"emodarts.{name}")
+    names = getattr(module, "__all__", [])
+    stale = [n for n in names if not hasattr(module, n)]
+    assert not stale, f"emodarts.{name}.__all__ lists missing names {stale}"
+    assert len(set(names)) == len(names), f"duplicates in emodarts.{name}"
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse(inspect.getsource(emodarts))
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"emodarts.{node.module}")
+        for alias in node.names:
+            name = alias.asname or alias.name
+            assert getattr(emodarts, name) is getattr(module, alias.name)
+            if hasattr(module, "__all__"):
+                assert alias.name in module.__all__, \
+                    f"{alias.name} is re-exported but not in " \
+                    f"emodarts.{node.module}.__all__"

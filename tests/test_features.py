@@ -317,6 +317,18 @@ class TestEdset:
         with pytest.raises(DataError):
             load_edset(p)
 
+    @pytest.mark.parametrize("count", [20.0, True, -1, "20"])
+    def test_non_integer_count_rejected(self, tmp_path, count):
+        p = tmp_path / "d.edset"
+        save_edset(self._sample(), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        doc = json.loads(head)
+        doc["count"] = count
+        p.write_bytes(json.dumps(doc, sort_keys=True,
+                                 separators=(",", ":")).encode() + b"\n" + payload)
+        with pytest.raises(DataError):
+            load_edset(p)
+
     def test_not_json_rejected(self, tmp_path):
         p = tmp_path / "junk.edset"
         p.write_bytes(b"\x00\x01binary\n\x02")

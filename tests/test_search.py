@@ -163,3 +163,17 @@ def test_ua_wa_pinned_example():
     preds = np.zeros(4, dtype=int)
     assert wa(labels, preds) == pytest.approx(75.0)
     assert ua(labels, preds) == pytest.approx(50.0)
+
+
+def test_search_steps_every_weight():
+    # the whole network, SeqNN stage and head included, exists before the
+    # optimizer groups are formed, so every weight moves and ends cleared
+    cfg = tiny_config(epochs=1)
+    net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
+    before = [p.data.copy() for p in net.params()]
+    search(net, blobs(16, 3), blobs(16, 4), cfg)
+    after = net.params()
+    assert len(after) == len(before)
+    for old, p in zip(before, after):
+        assert not np.array_equal(old, p.data)
+        assert p.grad is None

@@ -7,8 +7,7 @@ import pytest
 from emodarts import ContractViolation, Tensor
 from emodarts.config import SearchConfig
 from emodarts.supernet import (FactorizedReduce, Supernet, build_supernet,
-                               flatten_bridge, param_partition,
-                               reduction_positions)
+                               flatten_bridge, reduction_positions)
 
 
 def rng(s=0):
@@ -74,7 +73,7 @@ def test_alpha_table_widths_match_scopes():
 
 def test_param_partition_is_disjoint_and_exhaustive():
     net = build_supernet(small_config(), rng(7), input_hw=(16, 16))
-    weights, alphas = param_partition(net)
+    weights, alphas = net.params(), net.arch_params()
     wids, aids = {id(p) for p in weights}, {id(p) for p in alphas}
     assert not wids & aids
     assert len(weights) > 0 and len(alphas) == 2  # both CNN cells reduce
@@ -103,7 +102,7 @@ def test_backward_reaches_both_parameter_groups():
     x = Tensor(rng(13).normal(size=(4, 1, 16, 16)))
     labels = np.array([0, 1, 2, 3])
     net.loss(x, labels).backward()
-    weights, alphas = param_partition(net)
+    weights, alphas = net.params(), net.arch_params()
     missing_w = [p for p in weights if p.grad is None]
     missing_a = [p for p in alphas if p.grad is None]
     assert not missing_w and not missing_a
@@ -115,6 +114,22 @@ def test_input_shape_contract():
         net(Tensor(np.zeros((2, 3, 16, 16))))
     with pytest.raises(ContractViolation):
         net(Tensor(np.zeros((2, 16, 16))))
+
+
+def test_input_size_other_than_built_for_is_rejected():
+    net = Supernet(small_config(), rng(14), input_hw=(16, 16))
+    for shape in [(2, 1, 16, 12), (2, 1, 12, 16), (2, 1, 32, 32)]:
+        with pytest.raises(ContractViolation):
+            net(Tensor(np.zeros(shape)))
+    assert net(Tensor(np.zeros((2, 1, 16, 16)))).shape == (2, 4)
+
+
+def test_all_parameters_exist_before_the_first_forward():
+    net = build_supernet(small_config(), rng(20), input_hw=(16, 16))
+    n_params = len(net.params())
+    assert net.head is not None and len(net.seq_cells) == 1
+    net(Tensor(rng(21).normal(size=(2, 1, 16, 16))))
+    assert len(net.params()) == n_params
 
 
 def test_spatial_sizes_quarter_through_two_reductions():

@@ -170,6 +170,20 @@ def test_concat_stack_getitem_against_finite_differences():
     check_close(t.grad, fd(lambda av: build(av)[1].item(), a))
 
 
+def test_getitem_repeated_indices_accumulate_gradient():
+    a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    a[[0, 0, 1]].sum().backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 1.0, 0.0])
+    check_close(a.grad, fd(lambda av: Tensor(av)[[0, 0, 1]].sum().item(),
+                           a.data))
+
+    m = np.random.default_rng(14).normal(size=(3, 4))
+    t = Tensor(m, requires_grad=True)
+    (t[:, np.array([3, 1, 3])] * 2.0).sum().backward()
+    check_close(t.grad, fd(
+        lambda mv: (Tensor(mv)[:, np.array([3, 1, 3])] * 2.0).sum().item(), m))
+
+
 def test_conv2d_against_finite_differences_input_and_weight():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(2, 3, 6, 6))
