@@ -6,7 +6,7 @@ cells and the supernet (cell, supernet), the bilevel search loop (search),
 genome extraction and serialization (genome), derived-model training
 (derived), the audio feature pipeline and synthetic corpus (features), the
 cross-validation evaluation harness (harness), and a command-line front
-end (cli).
+end (cli). Every file write goes through one module (artifacts).
 """
 
 from .errors import (ContractViolation, DataError, EmodartsError,

@@ -10,11 +10,14 @@ Every producing command drops a <primary-out>.manifest.json next to its
 primary artifact recording the command, argument vector, effective seed,
 library versions, configuration, and input/output paths; nothing in any
 artifact depends on wall-clock time, so replaying a manifest with fresh
-output paths reproduces the original bytes.
+output paths reproduces the original bytes. Every file is written, and
+every text or container input read, through `artifacts`; the manifest is
+written last.
 
 Exit codes: 0 success, 2 numeric fault during optimization (partial
 history is flushed first), 64 usage errors including unusable flag
-values, 74 unreadable or malformed input files.
+values, 74 unreadable, undecodable or malformed input files, including
+bad config values.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .artifacts import read_text, write_file
 from .config import SearchConfig
 from .derived import (evaluate, instantiate, save_checkpoint, train_derived,
                       write_train_csv)
@@ -205,10 +209,7 @@ def _load_config(path, overrides: dict) -> SearchConfig:
         cp = configparser.ConfigParser()
         cp.optionxform = str          # keys like B_cnn are case-sensitive
         try:
-            with open(path, encoding="utf-8") as fh:
-                cp.read_file(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from exc
+            cp.read_string(read_text(path, "config"), source=str(path))
         except configparser.Error as exc:
             raise DataError(f"malformed config {path}: {exc}") from exc
         if "search" not in cp:
@@ -219,14 +220,6 @@ def _load_config(path, overrides: dict) -> SearchConfig:
                                 if s.strip()]
     doc.update({k: v for k, v in overrides.items() if v is not None})
     return SearchConfig.from_dict(doc)
-
-
-def _read_genome(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return deserialize(fh.read())
-    except OSError as exc:
-        raise DataError(f"cannot read genome {path}: {exc}") from exc
 
 
 def _write_manifest(command: str, argv: list, seed: int,
@@ -245,9 +238,8 @@ def _write_manifest(command: str, argv: list, seed: int,
         "outputs": [str(p) for p in outputs],
         "flags": flags,
     }
-    with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(f"{outputs[0]}.manifest.json",
+               json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_dataset(path) -> Dataset:
@@ -274,16 +266,12 @@ def _cmd_gen_data(args, argv):
 
 
 def _cmd_features(args, argv):
-    try:
-        with open(args.index, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read index {args.index}: {exc}") from exc
+    rows = list(csv.DictReader(read_text(args.index, "index").splitlines()))
     if not rows:
         raise DataError(f"index {args.index} has no rows")
     for col in ("file", "label", "speaker"):
-        if col not in rows[0]:
-            raise DataError(f"index {args.index} is missing column {col!r}")
+        if any(r.get(col) is None for r in rows):
+            raise DataError(f"index {args.index} lacks a {col!r} value")
     base = os.path.dirname(os.path.abspath(args.index))
     class_names = sorted({r["label"] for r in rows})
     speaker_ids = sorted({r["speaker"] for r in rows})
@@ -327,8 +315,7 @@ def _cmd_search(args, argv):
         raise
     genome = extract_genome(net, retain_all=args.retain_all_edges)
     flags = detect_degenerate(genome)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize(genome))
+    write_file(args.out, serialize(genome))
     outputs = [args.out]
     if args.history:
         write_history_csv(history, args.history)
@@ -350,7 +337,7 @@ def _cmd_search(args, argv):
 def _cmd_derive(args, argv):
     cfg = _load_config(args.config, {"seed": _seed_opt(args),
                                      "epochs": args.epochs})
-    genome = _read_genome(args.genome)
+    genome = deserialize(read_text(args.genome, "genome"))
     ds = _load_dataset(args.data)
     model = instantiate(genome, cfg, cfg.seed, ds.features.shape[1:])
     try:
@@ -377,7 +364,7 @@ def _cmd_baseline(args, argv):
     ds = _load_dataset(args.data)
     kinds = BASELINE_KINDS if args.kind == "all" else [args.kind]
     results, scatter = study(ds, cfg, scopes=kinds, n_folds=args.folds,
-                             seed=cfg.seed, mode="baseline", jobs=args.jobs)
+                             seed=cfg.seed, jobs=args.jobs)
     write_results_csv(results, args.out)
     outputs = [args.out]
     if args.scatter:
@@ -403,8 +390,7 @@ def _cmd_study(args, argv):
             raise ContractViolation(
                 f"unknown scopes {unknown}, expected among {STUDY_SCOPES}")
     results, scatter = study(ds, cfg, scopes=scopes, n_folds=args.folds,
-                             seed=cfg.seed, mode="emodarts",
-                             retain_all=args.retain_all_edges,
+                             seed=cfg.seed, retain_all=args.retain_all_edges,
                              search_epochs=args.search_epochs,
                              train_epochs=args.train_epochs, jobs=args.jobs)
     write_results_csv(results, args.out)
@@ -426,9 +412,8 @@ def _cmd_study(args, argv):
 
 
 def _cmd_export_dot(args, argv):
-    genome = _read_genome(args.genome)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_dot(genome))
+    genome = deserialize(read_text(args.genome, "genome"))
+    write_file(args.out, export_dot(genome))
     _write_manifest("export-dot", argv, 0, None, [args.genome], [args.out],
                     {})
     print(f"wrote {args.out}")
@@ -437,17 +422,15 @@ def _cmd_export_dot(args, argv):
 
 def _cmd_replay(args, argv):
     try:
-        with open(args.manifest, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {args.manifest}: {exc}") from exc
+        doc = json.loads(read_text(args.manifest, "manifest"))
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest is not valid JSON: {exc}") from exc
-    for key in ("command", "argv", "outputs"):
-        if key not in doc:
-            raise DataError(f"manifest is missing {key!r}")
+    keys = {"command", "argv", "outputs"}
+    if not (isinstance(doc, dict) and keys <= set(doc)):
+        raise DataError(f"manifest is not an object with keys {sorted(keys)}")
     outputs = doc["outputs"]
-    if not outputs or not isinstance(doc["argv"], list):
+    if not (isinstance(outputs, list) and outputs
+            and isinstance(doc["argv"], list)):
         raise DataError("manifest records no outputs or a bad argv")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     mapping = {outputs[0]: args.out}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
+from .artifacts import is_int
 from .errors import ContractViolation, DataError
 from .ops import SEQNN_OPS
 
@@ -69,26 +70,19 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(d) - set(known))
+        """From JSON or INI values: an int field takes an int or a string
+        holding one, a float field a number or a string, none a bool."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        unknown = sorted(set(d) - set(kinds))
         if unknown:
             raise DataError(f"unknown config keys: {unknown}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            v = d[f.name]
-            if f.name == "seq_scope":
-                kwargs[f.name] = tuple(v)
-            elif isinstance(f.default, bool):
-                kwargs[f.name] = bool(v)
-            elif isinstance(f.default, int):
-                kwargs[f.name] = int(v)
-            elif isinstance(f.default, float):
-                kwargs[f.name] = float(v)
-            else:
-                kwargs[f.name] = v
         try:
+            kwargs = {}
+            for name, v in d.items():
+                if isinstance(v, bool) or (kinds[name] is int and not (
+                        is_int(v) or isinstance(v, str))):
+                    raise TypeError(f"{name} = {v!r} has the wrong type")
+                kwargs[name] = kinds[name](v)
             return cls(**kwargs)
         except (TypeError, ValueError, ContractViolation) as exc:
             raise DataError(f"bad config value: {exc}") from exc

@@ -6,8 +6,9 @@ the genome's retained edges, each realized as a single op with fresh
 weights. Norm layers run with affine enabled, and dropout is applied to
 the pooled features before the head during training.
 
-Checkpoints are one JSON header line (genome, config, seed, input size)
-followed by the raw little-endian float64 payload: every trainable array
+Checkpoints use the container of `artifacts`: one JSON header line
+(genome, config, seed, input size), then the raw little-endian float64
+payload: every trainable array
 in declaration order, then every norm running-statistic buffer in
 declaration order. Buffers ride along because a loaded model must evaluate
 exactly like the saved one.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import is_int, read_container, write_container, write_csv
 from .config import SearchConfig
 from .errors import ContractViolation, DataError, NumericFault
 from .genome import Genome, deserialize, serialize
@@ -38,6 +40,7 @@ __all__ = ["DerivedCell", "DerivedModel", "instantiate", "train_derived",
            "CHECKPOINT_VERSION"]
 
 TRAIN_COLUMNS = ["epoch", "loss", "ua", "lr"]
+CHECKPOINT_FORMAT = "emodarts-checkpoint"
 CHECKPOINT_VERSION = 2
 
 
@@ -164,12 +167,8 @@ def train_derived(model: DerivedModel, train_split, config: SearchConfig,
 
 
 def write_train_csv(history: list[DerivedEpoch], path) -> None:
-    lines = [",".join(TRAIN_COLUMNS)]
-    for row in history:
-        lines.append(",".join([str(row.epoch), repr(row.loss),
-                               repr(row.ua), repr(row.lr)]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, TRAIN_COLUMNS,
+              ([getattr(r, c) for c in TRAIN_COLUMNS] for r in history))
 
 
 def evaluate(model: DerivedModel, split, batch_size: int = 64):
@@ -194,49 +193,27 @@ def _state_arrays(model: DerivedModel) -> list[np.ndarray]:
 
 def save_checkpoint(model: DerivedModel, path) -> None:
     header = {
-        "format": "emodarts-checkpoint",
+        "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "genome": json.loads(serialize(model.genome)),
         "config": model.config.to_dict(),
         "seed": model.seed,
         "input_hw": list(model.input_hw),
     }
-    arrays = _state_arrays(model)
-    payload = np.concatenate([a.ravel() for a in arrays]).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    payload = np.concatenate([a.ravel() for a in _state_arrays(model)])
+    write_container(path, header, payload.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
     """Rebuild the saved model; returns (model, genome, config, seed)."""
-    with open(path, "rb") as fh:
-        head_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(head_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"checkpoint header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError("checkpoint header is not a JSON object")
-    for key in ("format", "version", "genome", "config", "seed", "input_hw"):
-        if key not in header:
-            raise DataError(f"checkpoint header is missing {key!r}")
-    if header["format"] != "emodarts-checkpoint":
-        raise DataError(f"not a checkpoint file: format {header['format']!r}")
-    if header["version"] != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {header['version']!r}")
+    header, payload = read_container(
+        path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+        ("genome", "config", "seed", "input_hw"))
     hw, seed = header["input_hw"], header["seed"]
     if not (isinstance(hw, list) and len(hw) == 2
-            and all(_is_int(v) and v > 0 for v in hw)):
+            and all(is_int(v) and v > 0 for v in hw)):
         raise DataError(f"checkpoint input_hw {hw!r} is not two positive ints")
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise DataError(f"checkpoint seed {seed!r} is not a non-negative int")
     for key in ("genome", "config"):
         if not isinstance(header[key], dict):

@@ -11,19 +11,20 @@ orthonormal DCT-II across the mel axis keeping all 128 coefficients. An
 The synthetic corpus draws feature-space images directly: each class is a
 sinusoidally modulated Gaussian ridge (own base row and modulation rate),
 each speaker shifts and rescales the ridge, and white noise is added on
-top. Datasets travel in the EDSET container: one JSON header line, then
-the little-endian float32 feature payload in sample order.
+top. Datasets travel in the EDSET container of `artifacts`: one JSON
+header line, then the little-endian float32 feature payload in sample
+order.
 """
 
 from __future__ import annotations
 
-import json
 import wave as wave_mod
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
 
+from .artifacts import is_int, read_container, write_container
 from .errors import ContractViolation, DataError
 
 __all__ = [
@@ -225,39 +226,20 @@ def save_edset(dataset: Dataset, path) -> None:
         "seed": int(dataset.seed),
         "generator": dataset.generator,
     }
-    payload = np.ascontiguousarray(dataset.features, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    write_container(path, header, np.ascontiguousarray(
+        dataset.features, dtype="<f4").tobytes())
 
 
 def load_edset(path) -> Dataset:
-    try:
-        with open(path, "rb") as fh:
-            head_line = fh.readline()
-            payload = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    try:
-        header = json.loads(head_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"dataset header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != EDSET_FORMAT:
-        raise DataError("not an EDSET file")
-    if header.get("version") != EDSET_VERSION:
-        raise DataError(f"unsupported EDSET version {header.get('version')!r}")
-    for key in ("count", "dims", "class_names", "speaker_ids", "labels",
-                "speakers", "seed", "generator"):
-        if key not in header:
-            raise DataError(f"dataset header is missing {key!r}")
+    header, payload = read_container(path, EDSET_FORMAT, EDSET_VERSION, (
+        "count", "dims", "class_names", "speaker_ids", "labels", "speakers",
+        "seed", "generator"))
     n = header["count"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not is_int(n) or n < 0:
         raise DataError(f"bad count {n!r}")
     dims = header["dims"]
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and d > 0 for d in dims)):
+            or not all(is_int(d) and d > 0 for d in dims)):
         raise DataError(f"bad dims {dims!r}")
     h, w = dims
     flat = np.frombuffer(payload, dtype="<f4")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import discretize_edge, num_edges
+from .artifacts import is_int
+from .cell import discretize_edge
 from .errors import ContractViolation, DataError
 from .ops import CNN_OPS, SEQNN_OPS
 from .supernet import Supernet
@@ -112,7 +113,7 @@ def _check_edges(edges, scope, b, name) -> list[dict]:
         if not isinstance(e, dict) or set(e) != {"from_node", "to_node", "op"}:
             raise DataError(f"{name}: malformed edge {e!r}")
         i, j, op = e["from_node"], e["to_node"], e["op"]
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (is_int(i) and is_int(j)):
             raise DataError(f"{name}: non-integer node in {e!r}")
         if not (0 <= i < j < 2 + b):
             raise DataError(f"{name}: edge ({i} -> {j}) outside a {b}-node cell")
@@ -148,11 +149,11 @@ def deserialize(text: str) -> Genome:
     if not isinstance(cfg, dict) or set(cfg) != shape:
         raise DataError(f"config echo must have keys {sorted(shape)}")
     if (not isinstance(cfg["B"], dict) or set(cfg["B"]) != {"cnn", "seqnn"}
-            or not all(isinstance(v, int) and v >= 1
+            or not all(is_int(v) and v >= 1
                        for v in cfg["B"].values())):
         raise DataError("config echo B must be {cnn: int>=1, seqnn: int>=1}")
     for k in ("C", "N", "channels", "hidden"):
-        if not isinstance(cfg[k], int) or cfg[k] < 0:
+        if not is_int(cfg[k]) or cfg[k] < 0:
             raise DataError(f"config echo {k} must be a non-negative integer")
     genome = Genome(
         version=doc["version"], scope=list(scope),

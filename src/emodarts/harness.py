@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_csv
 from .config import SearchConfig
 from .derived import evaluate, instantiate, train_derived
 from .errors import ContractViolation, NumericFault
@@ -220,35 +221,30 @@ def fold_seed(seed: int, scope: str, fold: int) -> int:
 
 
 def run_fold(dataset: Dataset, split: FoldSplit, config: SearchConfig,
-             scope: str, seed: int, mode: str = "emodarts",
-             retain_all: bool = False, search_epochs: int | None = None,
+             scope: str, seed: int, retain_all: bool = False,
+             search_epochs: int | None = None,
              train_epochs: int | None = None) -> FoldResult:
-    """Search + retrain (mode emodarts) or fit a fixed model (mode
-    baseline, scope names the kind) on one fold; score on its test split."""
+    """Search and retrain a `SCOPE_OPS` scope, or fit the baseline a
+    `BASELINE_KINDS` name picks, on one fold; score on its test split."""
     input_hw = dataset.features.shape[1:]
-    if mode == "baseline":
-        model = Baseline(scope, replace(config, seed=seed), seed, input_hw)
-        train_derived(model, dataset.split(
-            np.concatenate([split.train_idx, split.val_idx])),
-            replace(config, seed=seed), epochs=train_epochs)
-        fold_ua, fold_wa = evaluate(model, dataset.split(split.test_idx))
-        return FoldResult(scope, split.fold, fold_ua, fold_wa,
-                          count_params(model), False, False, seed)
-    if mode != "emodarts":
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if scope not in SCOPE_OPS:
-        raise ContractViolation(
-            f"unknown scope {scope!r}, expected one of {STUDY_SCOPES}")
-    cfg = replace(config, seed=seed, seq_scope=tuple(SCOPE_OPS[scope]))
-    if search_epochs is not None:
-        cfg = replace(cfg, epochs=int(search_epochs))
-    net = build_supernet(cfg, np.random.default_rng(cfg.seed),
-                         input_hw=input_hw)
-    search(net, dataset.split(split.train_idx), dataset.split(split.val_idx),
-           cfg)
-    genome = extract_genome(net, retain_all=retain_all)
-    flags = detect_degenerate(genome)
-    model = instantiate(genome, cfg, seed, input_hw)
+    genome, flags = None, {"cnn": False, "seqnn": False}
+    if scope in BASELINE_KINDS:
+        cfg = replace(config, seed=seed)
+        model = Baseline(scope, cfg, seed, input_hw)
+    elif scope in SCOPE_OPS:
+        cfg = replace(config, seed=seed, seq_scope=tuple(SCOPE_OPS[scope]))
+        if search_epochs is not None:
+            cfg = replace(cfg, epochs=int(search_epochs))
+        net = build_supernet(cfg, np.random.default_rng(cfg.seed),
+                             input_hw=input_hw)
+        search(net, dataset.split(split.train_idx),
+               dataset.split(split.val_idx), cfg)
+        genome = extract_genome(net, retain_all=retain_all)
+        flags = detect_degenerate(genome)
+        model = instantiate(genome, cfg, seed, input_hw)
+    else:
+        raise ContractViolation(f"unknown scope {scope!r}, expected one of "
+                                f"{STUDY_SCOPES + BASELINE_KINDS}")
     train_derived(model, dataset.split(
         np.concatenate([split.train_idx, split.val_idx])),
         cfg, epochs=train_epochs)
@@ -258,12 +254,24 @@ def run_fold(dataset: Dataset, split: FoldSplit, config: SearchConfig,
                       seed, genome=genome)
 
 
-def _study_task(args):
-    dataset, split, config, scope, seed, mode, retain_all, se, te = args
+# The running study's shared run_fold arguments, set once per pool worker.
+_shared: tuple = ()
+
+
+def _share(*args) -> None:
+    global _shared
+    _shared = args
+
+
+def _study_task(task, shared: tuple = ()):
+    """One fold run; a pool worker takes `shared` from its initializer."""
+    split, scope, seed = task
+    dataset, config, retain_all, search_epochs, train_epochs = \
+        shared or _shared
     try:
-        return run_fold(dataset, split, config, scope, seed, mode=mode,
-                        retain_all=retain_all, search_epochs=se,
-                        train_epochs=te)
+        return run_fold(dataset, split, config, scope, seed,
+                        retain_all=retain_all, search_epochs=search_epochs,
+                        train_epochs=train_epochs)
     except NumericFault:
         return FoldResult(scope, split.fold, None, None, None, False, False,
                           seed)
@@ -271,24 +279,23 @@ def _study_task(args):
 
 def study(dataset: Dataset, config: SearchConfig,
           scopes: list | None = None, n_folds: int = 5, seed: int = 0,
-          mode: str = "emodarts", retain_all: bool = False,
-          search_epochs: int | None = None, train_epochs: int | None = None,
+          retain_all: bool = False, search_epochs: int | None = None,
+          train_epochs: int | None = None,
           jobs: int = 1) -> tuple[list[FoldResult], list[dict]]:
-    """Cross every scope with every fold. Returns (fold results, scatter
-    rows); scatter values aggregate the folds that finished (population
-    std), or None when every fold of a scope failed."""
-    if scopes is None:
-        scopes = list(STUDY_SCOPES) if mode == "emodarts" else list(BASELINE_KINDS)
+    """Cross every scope (default `STUDY_SCOPES`) with every fold. Returns
+    (fold results, scatter rows); scatter values aggregate the folds that
+    finished (population std), or None when every fold of a scope failed."""
+    scopes = list(STUDY_SCOPES) if scopes is None else scopes
     splits = speaker_cv_split(dataset, n_folds=n_folds, seed=seed)
-    tasks = [(dataset, split, config, scope,
-              fold_seed(seed, scope, split.fold), mode, retain_all,
-              search_epochs, train_epochs)
+    tasks = [(split, scope, fold_seed(seed, scope, split.fold))
              for scope in scopes for split in splits]
+    shared = (dataset, config, retain_all, search_epochs, train_epochs)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+                                 initargs=shared) as pool:
             results = list(pool.map(_study_task, tasks))
     else:
-        results = [_study_task(t) for t in tasks]
+        results = [_study_task(t, shared) for t in tasks]
 
     scatter = []
     for scope in scopes:
@@ -307,29 +314,11 @@ def study(dataset: Dataset, config: SearchConfig,
 
 # ---- CSV writers ----
 
-def _cell_str(v) -> str:
-    if v is None:
-        return "NA"
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_results_csv(results: list[FoldResult], path) -> None:
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in results:
-        lines.append(",".join(_cell_str(v) for v in [
-            r.scope, r.fold, r.ua, r.wa, r.params,
-            r.degenerate_cnn, r.degenerate_seqnn, r.seed]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, RESULT_COLUMNS,
+              ([getattr(r, c) for c in RESULT_COLUMNS] for r in results))
 
 
 def write_scatter_csv(scatter: list[dict], path) -> None:
-    lines = [",".join(SCATTER_COLUMNS)]
-    for row in scatter:
-        lines.append(",".join(_cell_str(row[k]) for k in SCATTER_COLUMNS))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, SCATTER_COLUMNS,
+              ([row[c] for c in SCATTER_COLUMNS] for row in scatter))

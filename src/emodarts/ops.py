@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import (Tensor, avg_pool2d, batch_norm, concat, conv2d,
-                     max_pool2d, relu, sigmoid, softmax, tanh)
+from .tensor import (Tensor, avg_pool2d, batch_norm, conv2d, max_pool2d,
+                     relu, softmax, tanh)
 
 __all__ = [
     "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .config import SearchConfig
 from .errors import ContractViolation, NumericFault
 from .metrics import ua as ua_metric
@@ -175,12 +176,5 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:
-    lines = [",".join(HISTORY_COLUMNS)]
-    for row in history:
-        lines.append(",".join([
-            str(row.epoch),
-            repr(row.search_loss), repr(row.search_ua),
-            repr(row.train_loss), repr(row.train_ua),
-            repr(row.lr), repr(row.entropy_cnn), repr(row.entropy_seqnn)]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, HISTORY_COLUMNS,
+              ([getattr(r, c) for c in HISTORY_COLUMNS] for r in history))

@@ -372,3 +372,35 @@ class TestReplay:
         bad.write_text(json.dumps({"command": "gen-data"}))
         assert main(["replay", "--manifest", str(bad),
                      "--out", str(tmp_path / "x")]) == EXIT_IO
+
+
+NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["export-dot", "--genome", "{bad}", "--out", "{tmp}/g.dot"], NOT_UTF8),
+    (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
+      "{tmp}/m.ckpt", "--config", "{ini}"], NOT_UTF8),
+    (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"], NOT_UTF8),
+    (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"], b"5\n"),
+    (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"],
+     b'{"command": "gen-data", "argv": [], "outputs": {"a": 1}}'),
+    (["search", "--data", "{edset}", "--out", "{tmp}/g.json",
+      "--config", "{bad}"], NOT_UTF8),
+    (["features", "--index", "{bad}", "--out", "{tmp}/w.edset"], NOT_UTF8),
+    (["features", "--index", "{bad}", "--out", "{tmp}/w.edset"],
+     b"file,label,speaker\na.wav,happy\nb.wav,sad,s2\n"),
+    (["search", "--data", "{edset}", "--out", "{tmp}/g.json",
+      "--config", "{bad}"], b"[search]\ndropout = x\n"),
+    (["search", "--data", "{edset}", "--out", "{tmp}/g.json",
+      "--config", "{bad}"], b"[search]\nC = 2.5\n"),
+], ids=["genome-export-dot", "genome-derive", "manifest", "manifest-number",
+        "manifest-outputs-object", "config", "index", "index-short-row",
+        "config-dropout-x", "config-fractional-C"])
+def test_bad_input_file_exits_74(tmp_path, edset, ini, argv, content):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    argv = [a.format(bad=bad, tmp=tmp_path, edset=edset, ini=ini)
+            for a in argv]
+    assert main(argv) == EXIT_IO
+    assert not (tmp_path / "g.json").exists()

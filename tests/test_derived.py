@@ -217,8 +217,10 @@ def _rewrite_header(src, dst, edit):
     lambda h: h.update(genome=[]),
     lambda h: h.update(config="C=2"),
     lambda h: h["config"].update(time_pool="mean"),
+    lambda h: h["config"].update(C=2.7),
 ], ids=["hw-one-value", "hw-zero", "hw-float", "seed-str", "seed-bool",
-        "version-1", "genome-list", "config-str", "config-time-pool"])
+        "version-1", "genome-list", "config-str", "config-time-pool",
+        "config-float-C"])
 def test_checkpoint_rejects_bad_header_fields(tmp_path, edit):
     genome, cfg = searched_genome()
     path = tmp_path / "model.ckpt"

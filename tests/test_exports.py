@@ -1,9 +1,11 @@
-"""Every name in a module's __all__ exists, and every name the package
-re-exports is the object its module exports under that name."""
+"""Every name in a module's __all__ exists, every name the package
+re-exports is the object its module exports under that name, and no module
+imports a name it never uses."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -36,3 +38,26 @@ def test_package_reexports_resolve():
                 assert alias.name in module.__all__, \
                     f"{alias.name} is re-exported but not in " \
                     f"emodarts.{node.module}.__all__"
+
+
+def test_no_unused_imports():
+    unused = []
+    for name in MODULES:
+        path = pathlib.Path(emodarts.__file__).with_name(f"{name}.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = \
+                        node.lineno
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"emodarts.{name}"),
+                               "__all__", []))
+        unused += [f"{name}.py:{line} {n}" for n, line in imported.items()
+                   if n not in used and n not in exported]
+    assert not unused, f"unused imports: {unused}"

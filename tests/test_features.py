@@ -329,6 +329,19 @@ class TestEdset:
         with pytest.raises(DataError):
             load_edset(p)
 
+    def test_boolean_dims_rejected(self, tmp_path):
+        # a 1-row corpus whose header spells its height as `true`: the
+        # payload size still matches, so only the type check can catch it
+        p = tmp_path / "d.edset"
+        save_edset(Dataset(features=np.zeros((2, 1, 4)), labels=np.array([0, 1]),
+                           speakers=np.array([0, 0]), speaker_ids=["s0"]), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        doc = json.loads(head)
+        doc["dims"] = [True, 4]
+        p.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        with pytest.raises(DataError):
+            load_edset(p)
+
     def test_not_json_rejected(self, tmp_path):
         p = tmp_path / "junk.edset"
         p.write_bytes(b"\x00\x01binary\n\x02")

@@ -118,6 +118,8 @@ def test_serialize_orders_edges_by_to_then_from():
      "op"),
     (lambda d: d["config"].pop("channels"), "config"),
     (lambda d: d.update(scope=["gru_9"]), "scope"),
+    (lambda d: d["seqnn"][0].update(from_node=False, to_node=True), "integer"),
+    (lambda d: d["config"].update(C=True), "echo"),
 ])
 def test_deserialize_rejects_malformed_documents(mutate, fragment):
     doc = json.loads(serialize(extract_genome(make_net())))

@@ -2,6 +2,8 @@
 and the CSV writers."""
 
 import csv
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -228,7 +230,7 @@ class TestRunFold:
     def test_baseline_mode(self, tiny_ds):
         split = speaker_cv_split(tiny_ds, n_folds=5, seed=0)[1]
         res = run_fold(tiny_ds, split, _tiny_cfg(), scope="cnn", seed=3,
-                       mode="baseline", train_epochs=2)
+                       train_epochs=2)
         assert res.scope == "cnn" and res.fold == 1
         assert res.params > 0 and res.genome is None
         assert res.degenerate_cnn is False and res.degenerate_seqnn is False
@@ -237,12 +239,6 @@ class TestRunFold:
         split = speaker_cv_split(tiny_ds, n_folds=5, seed=0)[0]
         with pytest.raises(ContractViolation):
             run_fold(tiny_ds, split, _tiny_cfg(), scope="GRU Only", seed=0)
-
-    def test_unknown_mode(self, tiny_ds):
-        split = speaker_cv_split(tiny_ds, n_folds=5, seed=0)[0]
-        with pytest.raises(ContractViolation):
-            run_fold(tiny_ds, split, _tiny_cfg(), scope="emoDARTS",
-                     seed=0, mode="transfer")
 
 
 class TestStudy:
@@ -261,8 +257,7 @@ class TestStudy:
 
     def test_baseline_study_rows(self, tiny_ds):
         results, scatter = study(tiny_ds, _tiny_cfg(epochs=1), n_folds=5,
-                                 seed=0, mode="baseline", scopes=["cnn"],
-                                 train_epochs=1)
+                                 seed=0, scopes=["cnn"], train_epochs=1)
         assert len(results) == 5
         assert all(r.scope == "cnn" for r in results)
         assert [r.fold for r in results] == [0, 1, 2, 3, 4]
@@ -270,13 +265,23 @@ class TestStudy:
         assert scatter[0]["mean_ua"] == pytest.approx(float(uas.mean()))
         assert scatter[0]["std_ua"] == pytest.approx(float(uas.std()))
 
-    def test_jobs_match_serial(self, tiny_ds):
-        kw = dict(n_folds=2, seed=1, mode="baseline", scopes=["cnn"],
-                  train_epochs=1)
-        serial, _ = study(tiny_ds, _tiny_cfg(epochs=1), jobs=1, **kw)
-        parallel, _ = study(tiny_ds, _tiny_cfg(epochs=1), jobs=2, **kw)
-        assert [(r.ua, r.wa, r.params) for r in serial] \
-            == [(r.ua, r.wa, r.params) for r in parallel]
+    def test_jobs_match_serial(self, tmp_path):
+        ds = synth_dataset(5, 2, dims=(16, 16), seed=0)
+        kw = dict(n_folds=2, seed=1, scopes=["RNN Only", "cnn"],
+                  search_epochs=1, train_epochs=1)
+        serial, _ = study(ds, _tiny_cfg(epochs=1), jobs=1, **kw)
+        parallel, _ = study(ds, _tiny_cfg(epochs=1), jobs=2, **kw)
+        assert [(r.scope, r.ua, r.wa, r.params) for r in serial] \
+            == [(r.scope, r.ua, r.wa, r.params) for r in parallel]
+        assert serial[0].genome is not None and serial[-1].genome is None
+        write_results_csv(serial, tmp_path / "serial.csv")
+        write_results_csv(parallel, tmp_path / "parallel.csv")
+        assert (tmp_path / "serial.csv").read_bytes() \
+            == (tmp_path / "parallel.csv").read_bytes()
+        alive = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert alive() is None     # no module state keeps the dataset
 
     def test_failed_fold_becomes_na(self, tiny_ds, monkeypatch):
         real = harness.run_fold
@@ -288,8 +293,7 @@ class TestStudy:
 
         monkeypatch.setattr(harness, "run_fold", sometimes)
         results, scatter = study(tiny_ds, _tiny_cfg(epochs=1), n_folds=2,
-                                 seed=0, mode="baseline", scopes=["cnn"],
-                                 train_epochs=1)
+                                 seed=0, scopes=["cnn"], train_epochs=1)
         assert results[1].ua is None and results[1].params is None
         assert results[0].ua is not None
         assert scatter[0]["mean_ua"] == pytest.approx(results[0].ua)
@@ -300,7 +304,7 @@ class TestStudy:
             harness, "run_fold",
             lambda *a, **k: (_ for _ in ()).throw(NumericFault("bad")))
         results, scatter = study(tiny_ds, _tiny_cfg(epochs=1), n_folds=2,
-                                 seed=0, mode="baseline", scopes=["cnn"])
+                                 seed=0, scopes=["cnn"])
         assert all(r.ua is None for r in results)
         assert scatter[0]["mean_ua"] is None
 
