@@ -89,8 +89,7 @@ class Cell(Module):
     be at the cell's working width: projection is the caller's job."""
 
     def __init__(self, kind: str, scope, width: int, b: int, reduction: bool,
-                 rng: np.random.Generator, num_inputs: int = 2,
-                 affine: bool = False):
+                 rng: np.random.Generator, num_inputs: int = 2):
         if kind not in ("cnn", "seqnn"):
             raise ContractViolation(f"unknown cell kind {kind!r}")
         if b < 1 or num_inputs < 1:
@@ -109,7 +108,7 @@ class Cell(Module):
             for i in range(j):
                 stride = 2 if (reduction and i < num_inputs) else 1
                 if kind == "cnn":
-                    ops = [build_cnn_op(name, width, stride, rng, affine)
+                    ops = [build_cnn_op(name, width, stride, rng)
                            for name in self.scope]
                 else:
                     ops = [build_seq_op(name, width, width, rng)

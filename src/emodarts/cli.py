@@ -428,15 +428,17 @@ def _cmd_replay(args, argv):
     keys = {"command", "argv", "outputs"}
     if not (isinstance(doc, dict) and keys <= set(doc)):
         raise DataError(f"manifest is not an object with keys {sorted(keys)}")
-    outputs = doc["outputs"]
+    outputs, old_argv = doc["outputs"], doc["argv"]
     if not (isinstance(outputs, list) and outputs
-            and isinstance(doc["argv"], list)):
-        raise DataError("manifest records no outputs or a bad argv")
+            and isinstance(old_argv, list)
+            and all(isinstance(v, str) for v in outputs + old_argv)):
+        raise DataError("manifest records no outputs, or an argv or outputs "
+                        "entry that is not a string")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     mapping = {outputs[0]: args.out}
     for extra in outputs[1:]:
         mapping[extra] = os.path.join(out_dir, os.path.basename(extra))
-    new_argv = [mapping.get(tok, tok) for tok in doc["argv"]]
+    new_argv = [mapping.get(tok, tok) for tok in old_argv]
     return main(new_argv)
 
 

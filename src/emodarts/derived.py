@@ -4,14 +4,14 @@ A derived model runs on the same `Backbone` as the search network (stem,
 CNN chain, flatten bridge, SeqNN chain, head), but each cell keeps only
 the genome's retained edges, each realized as a single op with fresh
 weights. Norm layers run with affine enabled, and dropout is applied to
-the pooled features before the head during training.
+the pooled features before the head during training. Training runs
+every batch through the search's `_train_step`.
 
 Checkpoints use the container of `artifacts`: one JSON header line
 (genome, config, seed, input size), then the raw little-endian float64
-payload: every trainable array
-in declaration order, then every norm running-statistic buffer in
-declaration order. Buffers ride along because a loaded model must evaluate
-exactly like the saved one.
+payload: every trainable array in declaration order, then every norm
+running-statistic buffer in declaration order. Buffers ride along because
+a loaded model must evaluate exactly like the saved one.
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ import numpy as np
 
 from .artifacts import is_int, read_container, write_container, write_csv
 from .config import SearchConfig
-from .errors import ContractViolation, DataError, NumericFault
+from .errors import ContractViolation, DataError
 from .genome import Genome, deserialize, serialize
 from .metrics import ua as ua_metric
 from .metrics import wa as wa_metric
-from .optim import SGD, CosineSchedule, clip_grad_norm, cosine_lr
+from .optim import cosine_lr
 from .cell import eval_cell
 from .ops import Module, build_cnn_op, build_seq_op, count_params
-from .search import _as_xy
+from .search import _as_xy, _batches, _RunningSplit, _sgd, _train_step
 from .supernet import Backbone
-from .tensor import Tensor, cross_entropy, dropout
+from .tensor import Tensor, dropout
 
 __all__ = ["DerivedCell", "DerivedModel", "instantiate", "train_derived",
            "DerivedEpoch", "TRAIN_COLUMNS", "write_train_csv", "evaluate",
@@ -126,43 +126,25 @@ class DerivedEpoch:
 
 def train_derived(model: DerivedModel, train_split, config: SearchConfig,
                   epochs: int | None = None) -> list[DerivedEpoch]:
-    """Train with the same optimizer family the search weight step uses:
-    momentum SGD under a cosine schedule from lr_max to lr_min, reaching
-    lr_min exactly on the final epoch's history row."""
+    """Train through the search's weight step: momentum SGD under a cosine
+    schedule from lr_max to lr_min, reaching lr_min exactly on the final
+    epoch's history row. The history loss is a mean over samples."""
     x, y = _as_xy(train_split, "train")
     epochs = config.epochs if epochs is None else int(epochs)
     if epochs < 1:
         raise ContractViolation("train_derived needs epochs >= 1")
-    opt = SGD(model.params(), lr=config.lr_max, momentum=config.momentum,
-              weight_decay=config.weight_decay)
-    sched = CosineSchedule(config.lr_max, config.lr_min, max(epochs - 1, 1))
+    opt, sched = _sgd(model.params(), config, epochs)
     rng = np.random.default_rng([config.seed, 0x7A11])
     model.set_training(True)
     history: list[DerivedEpoch] = []
     for epoch in range(epochs):
-        lr = cosine_lr(sched, min(epoch, sched.total_epochs))
+        lr = cosine_lr(sched, epoch)
         opt.set_lr(lr)
-        idx = rng.permutation(len(x))
-        loss_sum, labels, preds = 0.0, [], []
-        for lo in range(0, len(x), config.batch_size):
-            batch = idx[lo:lo + config.batch_size]
-            logits = model.forward_logits(Tensor(x[batch]))
-            loss = cross_entropy(logits, y[batch])
-            val = loss.item()
-            if not np.isfinite(val):
-                raise NumericFault(
-                    f"non-finite training loss at epoch {epoch}",
-                    history=history)
-            loss.backward()
-            if config.grad_clip > 0:
-                clip_grad_norm(model.params(), config.grad_clip)
-            opt.step()
-            opt.zero_grad()
-            loss_sum += val * len(batch)
-            labels.append(y[batch])
-            preds.append(logits.data.argmax(axis=1))
-        epoch_ua = ua_metric(np.concatenate(labels), np.concatenate(preds))
-        history.append(DerivedEpoch(epoch, loss_sum / len(x), epoch_ua, lr))
+        tally = _RunningSplit(by_sample=True)
+        for batch in _batches(len(x), config.batch_size, rng):
+            _train_step(model, x[batch], y[batch], opt, (opt,), tally, history,
+                        "training", config.grad_clip)
+        history.append(DerivedEpoch(epoch, *tally.summary(), lr))
     return history
 
 

@@ -246,17 +246,21 @@ def load_edset(path) -> Dataset:
     if flat.size != n * h * w:
         raise DataError(
             f"payload holds {flat.size} values, header promises {n * h * w}")
+    for key, names in (("labels", "class_names"), ("speakers", "speaker_ids")):
+        if not (isinstance(header[names], list)
+                and all(isinstance(v, str) for v in header[names])):
+            raise DataError(f"{names} is not a list of strings")
+        vals, bound = header[key], len(header[names])
+        if not (isinstance(vals, list) and len(vals) == n
+                and all(is_int(v) and 0 <= v < bound for v in vals)):
+            raise DataError(f"{key} is not a list of {n} indices into {names}")
+    if not is_int(header["seed"]):
+        raise DataError(f"bad seed {header['seed']!r}")
     labels = np.asarray(header["labels"], dtype=np.int64)
     speakers = np.asarray(header["speakers"], dtype=np.int64)
-    if labels.shape != (n,) or speakers.shape != (n,):
-        raise DataError("labels/speakers length does not match count")
-    if n and (labels.min() < 0 or labels.max() >= len(header["class_names"])):
-        raise DataError("label index outside class_names")
-    if n and (speakers.min() < 0 or speakers.max() >= len(header["speaker_ids"])):
-        raise DataError("speaker index outside speaker_ids")
     return Dataset(
         features=flat.reshape(n, h, w).astype(np.float64),
         labels=labels, speakers=speakers,
         class_names=list(header["class_names"]),
         speaker_ids=list(header["speaker_ids"]),
-        seed=int(header["seed"]), generator=header["generator"])
+        seed=header["seed"], generator=header["generator"])

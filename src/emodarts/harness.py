@@ -286,6 +286,10 @@ def study(dataset: Dataset, config: SearchConfig,
     (fold results, scatter rows); scatter values aggregate the folds that
     finished (population std), or None when every fold of a scope failed."""
     scopes = list(STUDY_SCOPES) if scopes is None else scopes
+    unknown = [s for s in scopes if s not in STUDY_SCOPES + BASELINE_KINDS]
+    if unknown:
+        raise ContractViolation(f"unknown scopes {unknown}, expected names "
+                                f"from {STUDY_SCOPES + BASELINE_KINDS}")
     splits = speaker_cv_split(dataset, n_folds=n_folds, seed=seed)
     tasks = [(split, scope, fold_seed(seed, scope, split.fold))
              for scope in scopes for split in splits]

@@ -101,11 +101,11 @@ class BatchNorm2d(Module):
     supernets run with it disabled, derived models enable it.
     """
 
-    def __init__(self, channels: int, affine: bool, eps: float = 1e-5,
-                 momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int, affine: bool):
         self.affine = bool(affine)
-        self.eps = eps
-        self.momentum = momentum
         if self.affine:
             self.gamma = Tensor(np.ones((1, channels, 1, 1)), requires_grad=True)
             self.beta = Tensor(np.zeros((1, channels, 1, 1)), requires_grad=True)
@@ -129,14 +129,12 @@ class BatchNorm2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
         self.weight = _uniform(rng, (fan_in, fan_out), fan_in)
-        self.bias = _uniform(rng, (fan_out,), fan_in) if bias else None
+        self.bias = _uniform(rng, (fan_out,), fan_in)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        return out + self.bias if self.bias is not None else out
+        return x @ self.weight + self.bias
 
 
 # ---- CNN candidate ops ----

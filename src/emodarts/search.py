@@ -5,7 +5,8 @@ search split, stepped with Adam on the coefficient tables) with a shuffled
 stream of weight-update batches (the train split, stepped with momentum
 SGD under a cosine schedule). The shorter stream recycles until the longer
 one is exhausted. Coefficients and weights belong to disjoint optimizers,
-so neither step can touch the other group.
+so neither step can touch the other group. Both steps, and every batch of
+`derived.train_derived`, run through `_train_step`.
 
 History carries one row per epoch and nothing that depends on the clock,
 which keeps written artifacts byte-reproducible.
@@ -80,23 +81,54 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 class _RunningSplit:
-    """Per-epoch accumulation of loss and predictions for one split."""
+    """Per-epoch accumulation of loss and predictions for one split. The
+    loss is a mean over steps, or over samples when `by_sample` is set."""
 
-    def __init__(self):
-        self.loss_sum = 0.0
-        self.steps = 0
-        self.labels: list[np.ndarray] = []
-        self.preds: list[np.ndarray] = []
+    def __init__(self, by_sample: bool = False):
+        self.by_sample = by_sample
+        self.loss_sum, self.weight = 0.0, 0
+        self.labels, self.preds = [], []
 
     def add(self, loss: float, labels: np.ndarray, logits: np.ndarray):
-        self.loss_sum += loss
-        self.steps += 1
+        w = len(labels) if self.by_sample else 1
+        self.loss_sum += loss * w
+        self.weight += w
         self.labels.append(labels)
         self.preds.append(logits.argmax(axis=1))
 
     def summary(self) -> tuple[float, float]:
-        return (self.loss_sum / self.steps,
+        return (self.loss_sum / self.weight,
                 ua_metric(np.concatenate(self.labels), np.concatenate(self.preds)))
+
+
+def _sgd(params, config: SearchConfig, epochs: int):
+    """The weight optimizer: momentum SGD, and a cosine schedule that
+    reaches lr_min on the last of `epochs` epochs."""
+    return (SGD(params, lr=config.lr_max, momentum=config.momentum,
+                weight_decay=config.weight_decay),
+            CosineSchedule(config.lr_max, config.lr_min, max(epochs - 1, 1)))
+
+
+def _train_step(model, x, y, opt, clear, tally: _RunningSplit, history,
+                phase: str, clip: float = 0.0) -> None:
+    """One minibatch: forward, cross-entropy, backward, clip `opt`'s
+    gradients to global norm `clip` when clip > 0, step `opt`, clear the
+    gradients of every optimizer in `clear`, and tally the batch. A
+    non-finite loss raises NumericFault carrying `history`, the finished
+    epochs (so its length is the current epoch)."""
+    logits = model.forward_logits(Tensor(x))
+    loss = cross_entropy(logits, y)
+    val = loss.item()
+    if not np.isfinite(val):
+        raise NumericFault(
+            f"non-finite {phase} loss at epoch {len(history)}", history=history)
+    loss.backward()
+    if clip > 0:
+        clip_grad_norm(opt.params, clip)
+    opt.step()
+    for o in clear:
+        o.zero_grad()
+    tally.add(val, y, logits.data)
 
 
 def search(net: Supernet, train_split, search_split, config: SearchConfig,
@@ -111,16 +143,13 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
     """
     xt, yt = _as_xy(train_split, "train")
     xs, ys = _as_xy(search_split, "search")
-    weights, alphas = net.params(), net.arch_params()
+    alphas = net.arch_params()
     if not alphas:
         raise ContractViolation("nothing to search: no coefficient tables")
-    w_opt = SGD(weights, lr=config.lr_max, momentum=config.momentum,
-                weight_decay=config.weight_decay)
+    w_opt, sched = _sgd(net.params(), config, config.epochs)
     a_opt = Adam(alphas, lr=config.arch_lr,
                  betas=(config.arch_beta1, config.arch_beta2),
                  weight_decay=config.arch_weight_decay)
-    sched = CosineSchedule(config.lr_max, config.lr_min,
-                           max(config.epochs - 1, 1))
     rng = np.random.default_rng([config.seed, 0x5EA2C4])
     net.set_training(True)
 
@@ -128,50 +157,27 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
         if on_step is not None:
             on_step({"event": event, "epoch": epoch, "step": step, "net": net})
 
-    def step_loss(x, y, history, epoch, phase):
-        logits = net.forward_logits(Tensor(x))
-        loss = cross_entropy(logits, y)
-        val = loss.item()
-        if not np.isfinite(val):
-            raise NumericFault(
-                f"non-finite {phase} loss at epoch {epoch}", history=history)
-        loss.backward()
-        return val, logits.data
-
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
-        lr = cosine_lr(sched, min(epoch, sched.total_epochs))
+        lr = cosine_lr(sched, epoch)
         w_opt.set_lr(lr)
         tb = _batches(len(xt), config.batch_size, rng)
         sb = _batches(len(xs), config.batch_size, rng)
         run_t, run_s = _RunningSplit(), _RunningSplit()
         for i in range(max(len(tb), len(sb))):
-            sidx = sb[i % len(sb)]
-            tidx = tb[i % len(tb)]
-
+            sidx, tidx = sb[i % len(sb)], tb[i % len(tb)]
+            # a backward fills both groups, so each step clears both
             emit("pre_alpha", epoch, i)
-            val, logits = step_loss(xs[sidx], ys[sidx], history, epoch, "search")
-            a_opt.step()
-            w_opt.zero_grad()
-            a_opt.zero_grad()
-            run_s.add(val, ys[sidx], logits)
+            _train_step(net, xs[sidx], ys[sidx], a_opt, (w_opt, a_opt), run_s,
+                        history, "search")
             emit("post_alpha", epoch, i)
-
             emit("pre_weight", epoch, i)
-            val, logits = step_loss(xt[tidx], yt[tidx], history, epoch, "train")
-            if config.grad_clip > 0:
-                clip_grad_norm(weights, config.grad_clip)
-            w_opt.step()
-            w_opt.zero_grad()
-            a_opt.zero_grad()
-            run_t.add(val, yt[tidx], logits)
+            _train_step(net, xt[tidx], yt[tidx], w_opt, (w_opt, a_opt), run_t,
+                        history, "train", config.grad_clip)
             emit("post_weight", epoch, i)
 
-        s_loss, s_ua = run_s.summary()
-        t_loss, t_ua = run_t.summary()
-        ent_cnn, ent_seq = _component_entropies(net)
-        history.append(EpochStats(epoch, s_loss, s_ua, t_loss, t_ua, lr,
-                                  ent_cnn, ent_seq))
+        history.append(EpochStats(epoch, *run_s.summary(), *run_t.summary(),
+                                  lr, *_component_entropies(net)))
     return history
 
 

@@ -122,6 +122,12 @@ class Backbone(Module):
             self.cnn_cells.append(self._cell("cnn", red, rng))
             cpp, cp = cp, b_cnn * channels
             if red:
+                if k + 1 < c_cells and (h % 2 or w % 2):
+                    # the next cell's FactorizedReduce halves this map
+                    raise ContractViolation(
+                        f"input_hw {self.input_hw} gives an odd {h}x{w} map "
+                        f"at reduction cell {k}; the cell after it cannot "
+                        f"halve an odd side")
                 h, w = (h + 1) // 2, (w + 1) // 2
         self._init_arch(rng)
 

@@ -252,6 +252,17 @@ class TestSearch:
         assert rows[0][0] == "epoch"     # header written, no finished epochs
         assert len(rows) == 1
 
+    def test_odd_map_size_exits_64(self, tmp_path):
+        # with C=3 the second reduction's input map would have to halve 15
+        ini = tmp_path / "c3.ini"
+        ini.write_text(TINY_INI.replace("C = 1", "C = 3"))
+        data = tmp_path / "odd.edset"
+        save_edset(synth_dataset(5, 1, dims=(15, 15), seed=0), data)
+        assert main(["search", "--data", str(data), "--out",
+                     str(tmp_path / "g.json"), "--config", str(ini)]) \
+            == EXIT_USAGE
+        assert not (tmp_path / "g.json").exists()
+
 
 class TestDeriveAndDot:
     @pytest.fixture()
@@ -273,6 +284,23 @@ class TestDeriveAndDot:
         with open(hist) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "loss", "ua", "lr"] and len(rows) == 3
+
+    def test_numeric_fault_exits_2_and_flushes(self, tmp_path, ini,
+                                               genome_path):
+        ds = synth_dataset(5, 1, dims=(16, 16), seed=0)
+        ds.features[:] = np.nan
+        poisoned = tmp_path / "nan.edset"
+        save_edset(ds, poisoned)
+        out = tmp_path / "m.ckpt"
+        hist = str(tmp_path / "t.csv")
+        code = main(["derive", "--genome", genome_path, "--data",
+                     str(poisoned), "--out", str(out), "--history", hist,
+                     "--config", ini])
+        assert code == EXIT_NUMERIC
+        with open(hist) as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["epoch", "loss", "ua", "lr"]]
+        assert not out.exists()
 
     def test_derive_bad_genome(self, tmp_path, edset, ini):
         bad = tmp_path / "bad.json"
@@ -385,6 +413,10 @@ NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
     (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"], b"5\n"),
     (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"],
      b'{"command": "gen-data", "argv": [], "outputs": {"a": 1}}'),
+    (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"],
+     b'{"command": "gen-data", "argv": [["x"]], "outputs": ["a"]}'),
+    (["replay", "--manifest", "{bad}", "--out", "{tmp}/x"],
+     b'{"command": "gen-data", "argv": [], "outputs": ["a", 5]}'),
     (["search", "--data", "{edset}", "--out", "{tmp}/g.json",
       "--config", "{bad}"], NOT_UTF8),
     (["features", "--index", "{bad}", "--out", "{tmp}/w.edset"], NOT_UTF8),
@@ -395,7 +427,8 @@ NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
     (["search", "--data", "{edset}", "--out", "{tmp}/g.json",
       "--config", "{bad}"], b"[search]\nC = 2.5\n"),
 ], ids=["genome-export-dot", "genome-derive", "manifest", "manifest-number",
-        "manifest-outputs-object", "config", "index", "index-short-row",
+        "manifest-outputs-object", "manifest-argv-list-entry",
+        "manifest-outputs-number-entry", "config", "index", "index-short-row",
         "config-dropout-x", "config-fractional-C"])
 def test_bad_input_file_exits_74(tmp_path, edset, ini, argv, content):
     bad = tmp_path / "bad"

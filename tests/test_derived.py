@@ -2,11 +2,12 @@
 and checkpoint round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from emodarts import ContractViolation, DataError, Tensor
+from emodarts import ContractViolation, DataError, NumericFault, Tensor
 from emodarts.config import SearchConfig
 from emodarts.derived import (CHECKPOINT_VERSION, DerivedCell, TRAIN_COLUMNS,
                               evaluate,
@@ -133,6 +134,35 @@ def test_training_reduces_loss():
     model = instantiate(genome, cfg, seed=9, input_hw=(16, 16))
     hist = train_derived(model, blobs(32, 8), cfg, epochs=12)
     assert hist[-1].loss < hist[0].loss
+
+
+def test_non_finite_loss_raises_with_finished_epochs():
+    genome, cfg = searched_genome()
+    model = instantiate(genome, cfg, seed=0, input_hw=(16, 16))
+    x, y = blobs(8, 12)
+    with pytest.raises(NumericFault) as nan_corpus:
+        train_derived(model, (np.full_like(x, np.nan), y), cfg, epochs=2)
+    assert nan_corpus.value.history == []
+    # one full batch per epoch at a huge rate: epoch 0 finishes, and its
+    # step blows the weights up, so epoch 1's loss is not finite
+    cfg = replace(cfg, lr_max=1e200, lr_min=1e200, batch_size=8)
+    model = instantiate(genome, cfg, seed=0, input_hw=(16, 16))
+    with np.errstate(all="ignore"), pytest.raises(NumericFault) as blown:
+        train_derived(model, (x, y), cfg, epochs=3)
+    assert [r.epoch for r in blown.value.history] == [0]
+    assert np.isfinite(blown.value.history[0].loss)
+
+
+def test_grad_clip_bounds_each_training_step():
+    genome, cfg = searched_genome(grad_clip=1e-3, lr_max=1.0, lr_min=1.0,
+                                  momentum=0.0, weight_decay=0.0,
+                                  batch_size=8)
+    model = instantiate(genome, cfg, seed=0, input_hw=(16, 16))
+    before = [p.data.copy() for p in model.params()]
+    train_derived(model, blobs(8, 13), cfg, epochs=1)   # a single step
+    move = np.sqrt(sum(((p.data - b) ** 2).sum()
+                       for p, b in zip(model.params(), before)))
+    assert 0.5e-3 < move <= 1e-3 * (1 + 1e-9)
 
 
 def test_evaluate_returns_percentages():

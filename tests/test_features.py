@@ -329,6 +329,22 @@ class TestEdset:
         with pytest.raises(DataError):
             load_edset(p)
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("seed", 7.0), ("labels", "a"), ("labels", 1.7),
+        ("labels", True), ("labels", 2 ** 70), ("speakers", "s0"),
+        ("speakers", 0.5), ("class_names", "abcd"), ("speaker_ids", 5)])
+    def test_mistyped_header_field_rejected(self, tmp_path, key, value):
+        # `value` replaces the first labels/speakers entry, or the field
+        p = tmp_path / "d.edset"
+        save_edset(self._sample(), p)
+        head, payload = p.read_bytes().split(b"\n", 1)
+        doc = json.loads(head)
+        doc[key] = ([value] + doc[key][1:] if key in ("labels", "speakers")
+                    else value)
+        p.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        with pytest.raises(DataError):
+            load_edset(p)
+
     def test_boolean_dims_rejected(self, tmp_path):
         # a 1-row corpus whose header spells its height as `true`: the
         # payload size still matches, so only the type check can catch it

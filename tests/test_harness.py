@@ -283,6 +283,15 @@ class TestStudy:
         gc.collect()
         assert alive() is None     # no module state keeps the dataset
 
+    def test_unknown_scope_rejected_before_any_fold(self, tiny_ds,
+                                                    monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_fold", lambda *a, **k: ran.append(a))
+        with pytest.raises(ContractViolation, match="GRU Only"):
+            study(tiny_ds, _tiny_cfg(epochs=1), n_folds=2, seed=0,
+                  scopes=["cnn", "GRU Only"])
+        assert ran == []
+
     def test_failed_fold_becomes_na(self, tiny_ds, monkeypatch):
         real = harness.run_fold
 

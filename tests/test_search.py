@@ -7,8 +7,8 @@ from emodarts import NumericFault
 from emodarts.config import SearchConfig
 from emodarts.metrics import ua, wa
 from emodarts.optim import CosineSchedule, cosine_lr
-from emodarts.search import (HISTORY_COLUMNS, alpha_entropy, search,
-                             write_history_csv)
+from emodarts.search import (HISTORY_COLUMNS, _RunningSplit, alpha_entropy,
+                             search, write_history_csv)
 from emodarts.supernet import build_supernet
 
 
@@ -119,6 +119,42 @@ def test_steps_isolate_parameter_groups():
     assert violations == []
 
 
+def test_every_step_leaves_both_groups_without_gradients():
+    # the coefficient step's backward also fills the weight gradients; left
+    # in place they would add to the next weight step's
+    cfg = tiny_config(epochs=1)
+    net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
+    held = []
+
+    def watch(ev):
+        if ev["event"] in ("post_alpha", "post_weight"):
+            held.extend(ev["event"] for p in net.params() + net.arch_params()
+                        if p.grad is not None)
+
+    search(net, blobs(24, 5), blobs(24, 6), cfg, on_step=watch)
+    assert held == []
+
+
+def test_grad_clip_bounds_the_weight_step():
+    # plain SGD at rate 1: a weight step moves the weights by the clipped
+    # gradient, whose global norm is at most grad_clip
+    cfg = tiny_config(epochs=1, grad_clip=1e-3, lr_max=1.0, lr_min=1.0,
+                      momentum=0.0, weight_decay=0.0)
+    net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
+    before, moves = [], []
+
+    def watch(ev):
+        if ev["event"] == "pre_weight":
+            before[:] = [p.data.copy() for p in net.params()]
+        elif ev["event"] == "post_weight":
+            moves.append(np.sqrt(sum(((p.data - b) ** 2).sum()
+                                     for p, b in zip(net.params(), before))))
+
+    search(net, blobs(24, 5), blobs(24, 6), cfg, on_step=watch)
+    assert moves and max(moves) <= 1e-3 * (1 + 1e-9)
+    assert min(moves) > 0.5e-3      # the unclipped gradient is larger
+
+
 def test_non_finite_loss_raises_numeric_fault_with_partial_history():
     cfg = tiny_config(epochs=4)
     net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
@@ -177,3 +213,12 @@ def test_search_steps_every_weight():
     for old, p in zip(before, after):
         assert not np.array_equal(old, p.data)
         assert p.grad is None
+
+
+def test_tally_means_loss_over_steps_or_over_samples():
+    by_step, by_sample = _RunningSplit(), _RunningSplit(by_sample=True)
+    for tally in (by_step, by_sample):
+        tally.add(1.0, np.array([0, 1, 2]), np.eye(4)[[0, 1, 2]])
+        tally.add(3.0, np.array([3]), np.eye(4)[[3]])
+    assert by_step.summary() == (2.0, 100.0)       # (1 + 3) / 2 steps
+    assert by_sample.summary() == (1.5, 100.0)     # (3 * 1 + 3) / 4 samples

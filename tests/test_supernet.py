@@ -148,6 +148,16 @@ def test_spatial_sizes_quarter_through_two_reductions():
     assert sizes == [(16, 16), (8, 8)]
 
 
+def test_odd_map_before_a_factorized_reduce_is_rejected():
+    # C=3 reduces at cells 1 and 2; cell 2's FactorizedReduce halves the
+    # unreduced 15-row map that cell 1 reduced
+    cfg = small_config(C=3, N=1, B_cnn=1, B_seqnn=1)
+    with pytest.raises(ContractViolation, match=r"input_hw \(15, 16\).*15x16"):
+        build_supernet(cfg, rng(22), input_hw=(15, 16))
+    net = build_supernet(cfg, rng(22), input_hw=(16, 16))
+    assert net(Tensor(np.zeros((2, 1, 16, 16)))).shape == (2, 4)
+
+
 def test_factorized_reduce_halves_and_keeps_channels():
     fr = FactorizedReduce(6, 10, rng(17), affine=False)
     out = fr(Tensor(rng(18).normal(size=(2, 6, 12, 12))))
