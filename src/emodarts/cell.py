@@ -1,12 +1,13 @@
-"""Weight-sharing search cells.
+"""The cell layout and the weight-sharing search cells.
 
 A cell is a small DAG: `num_inputs` input nodes followed by B intermediate
 nodes, with an edge from every earlier node to every intermediate node.
-Each edge holds one instance of every candidate op in the scope, and its
-output is the softmax(alpha)-weighted sum of all candidates. A node's
-value is the sum of its incoming edge outputs. `eval_cell` runs that
-graph for both the search cells here and the discrete cells of derived
-models.
+Search cells, derived cells and genomes share this module's edge order,
+reduction strides, component keys and retained-edge check. In a search
+cell each edge holds one instance of every candidate op in the scope, and
+its output is the softmax(alpha)-weighted sum of all candidates. A node's
+value is the sum of its incoming edge outputs. `eval_cell` runs that graph
+for both the search cells here and the discrete cells of derived models.
 
 CNN cells concatenate the intermediate nodes along channels (output width
 B * channels); SeqNN cells average them elementwise (width stays hidden).
@@ -18,12 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .artifacts import is_int
 from .errors import ContractViolation
-from .ops import Module, build_cnn_op, build_seq_op
+from .ops import PASSIVE_OPS, Module, build_cnn_op, build_seq_op
 from .tensor import Tensor, concat, softmax, stack
 
 __all__ = ["MixedEdge", "Cell", "eval_cell", "num_edges", "augment_scope",
-           "discretize_edge"]
+           "discretize_edge", "cell_edges", "edge_stride", "component_key",
+           "check_retained"]
 
 
 def num_edges(b: int, num_inputs: int = 2) -> int:
@@ -36,28 +39,78 @@ def augment_scope(scope) -> list[str]:
     """A searchable scope always contains skip_connect and none, appended
     after the caller's candidates when missing."""
     out = list(scope)
-    for extra in ("skip_connect", "none"):
-        if extra not in out:
-            out.append(extra)
+    return out + [op for op in PASSIVE_OPS if op not in out]
+
+
+def cell_edges(b: int, num_inputs: int = 2) -> list[tuple[int, int]]:
+    """Every (from_node, to_node) edge of a cell with `b` intermediate
+    nodes, ordered by to_node, then from_node."""
+    return [(i, j) for j in range(num_inputs, num_inputs + b)
+            for i in range(j)]
+
+
+def edge_stride(reduction: bool, i: int, num_inputs: int = 2) -> int:
+    """Stride of an edge from node i: a reduction cell strides the edges
+    that leave an input node."""
+    return 2 if (reduction and i < num_inputs) else 1
+
+
+def component_key(kind: str, reduction: bool) -> str:
+    """The genome component (and coefficient table) a cell belongs to."""
+    return ("seqnn" if kind == "seqnn" else
+            "cnn_reduce" if reduction else "cnn_normal")
+
+
+def check_retained(edges, b: int, ops) -> list[dict]:
+    """Check the retained edges of a discrete 2-input cell with `b`
+    intermediate nodes; returns plain copies. Each is {from_node, to_node,
+    op} with ints 0 <= from < to, 2 <= to < 2 + b and an op in `ops`. They
+    come once each in cell_edges order; every intermediate node has one."""
+    if not isinstance(edges, list):
+        raise ContractViolation("expected a list of edges")
+    out = []
+    for e in edges:
+        if not isinstance(e, dict) or set(e) != {"from_node", "to_node", "op"}:
+            raise ContractViolation(f"malformed edge {e!r}")
+        i, j, op = e["from_node"], e["to_node"], e["op"]
+        if not (is_int(i) and is_int(j)):
+            raise ContractViolation(f"non-integer node in {e!r}")
+        if not (0 <= i < j and 2 <= j < 2 + b):
+            raise ContractViolation(f"edge ({i} -> {j}) outside a {b}-node cell")
+        if not isinstance(op, str) or op not in ops:
+            raise ContractViolation(f"unknown op {op!r}")
+        out.append({"from_node": i, "to_node": j, "op": op})
+    keys = [(e["to_node"], e["from_node"]) for e in out]
+    if keys != sorted(set(keys)):
+        raise ContractViolation(
+            "edges repeated or not in (to_node, from_node) order")
+    orphans = set(range(2, 2 + b)) - {j for j, _ in keys}
+    if orphans:
+        raise ContractViolation(
+            f"node {min(orphans)} has no retained incoming edges")
     return out
 
 
-def eval_cell(kind: str, inputs: list[Tensor], sources: list[list[int]],
-              edge) -> Tensor:
-    """Run a cell graph. sources[n] lists the states feeding intermediate
-    node n (inputs first, then earlier nodes); edge(k, x) is the output of
-    the k-th edge, counted node by node in that order. A node sums its
-    edges; CNN cells concatenate the nodes along channels, SeqNN cells
-    average them."""
+def _edge_op(kind: str, name: str, width: int, stride: int,
+             rng: np.random.Generator, affine: bool) -> Module:
+    """One candidate op on a cell edge at the cell's working width."""
+    if kind == "cnn":
+        return build_cnn_op(name, width, stride, rng, affine)
+    return build_seq_op(name, width, width, rng)
+
+
+def eval_cell(kind: str, inputs: list[Tensor], edges, edge) -> Tensor:
+    """Run a cell graph. `edges` lists (from_node, to_node) pairs in
+    cell_edges order, at least one per intermediate node; edge(k, x) is
+    the output of the k-th. A node sums its edges; CNN cells concatenate
+    the nodes along channels, SeqNN cells average them."""
     states = list(inputs)
-    k = 0
-    for srcs in sources:
-        acc = None
-        for i in srcs:
-            out = edge(k, states[i])
-            acc = out if acc is None else acc + out
-            k += 1
-        states.append(acc)
+    for k, (i, j) in enumerate(edges):
+        out = edge(k, states[i])
+        if j < len(states):
+            states[j] = states[j] + out
+        else:
+            states.append(out)
     nodes = states[len(inputs):]
     if kind == "cnn":
         return concat(nodes, axis=1)
@@ -102,35 +155,25 @@ class Cell(Module):
         self.b = b
         self.reduction = reduction
         self.num_inputs = num_inputs
-        self.edge_index: list[tuple[int, int]] = []   # (from_node, to_node)
+        self.edge_index = cell_edges(b, num_inputs)   # (from_node, to_node)
         self.edges: list[MixedEdge] = []
-        for j in range(num_inputs, num_inputs + b):
-            for i in range(j):
-                stride = 2 if (reduction and i < num_inputs) else 1
-                if kind == "cnn":
-                    ops = [build_cnn_op(name, width, stride, rng)
-                           for name in self.scope]
-                else:
-                    ops = [build_seq_op(name, width, width, rng)
-                           for name in self.scope]
-                self.edge_index.append((i, j))
-                self.edges.append(MixedEdge(ops))
+        for i, _ in self.edge_index:
+            stride = edge_stride(reduction, i, num_inputs)
+            self.edges.append(MixedEdge([
+                _edge_op(kind, name, width, stride, rng, False)
+                for name in self.scope]))
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     def _check_input(self, x: Tensor, pos: int) -> None:
-        if self.kind == "cnn":
-            if x.ndim != 4 or x.shape[1] != self.width:
-                raise ContractViolation(
-                    f"cell input {pos} has shape {x.shape}; expected "
-                    f"(B, {self.width}, H, W). Project inputs before the cell.")
-        else:
-            if x.ndim != 3 or x.shape[2] != self.width:
-                raise ContractViolation(
-                    f"cell input {pos} has shape {x.shape}; expected "
-                    f"(B, T, {self.width}). Project inputs before the cell.")
+        cnn = self.kind == "cnn"
+        if x.ndim != (4 if cnn else 3) or x.shape[1 if cnn else 2] != self.width:
+            want = f"(B, {self.width}, H, W)" if cnn else f"(B, T, {self.width})"
+            raise ContractViolation(
+                f"cell input {pos} has shape {x.shape}; expected {want}. "
+                f"Project inputs before the cell.")
 
     def forward(self, inputs: list[Tensor], alphas: Tensor) -> Tensor:
         if len(inputs) != self.num_inputs:
@@ -142,8 +185,7 @@ class Cell(Module):
             raise ContractViolation(
                 f"alpha table has {alphas.shape[0]} rows, cell has "
                 f"{len(self.edges)} edges")
-        sources = [list(range(self.num_inputs + j)) for j in range(self.b)]
-        return eval_cell(self.kind, inputs, sources,
+        return eval_cell(self.kind, inputs, self.edge_index,
                          lambda k, x: self.edges[k](x, alphas[k]))
 
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .artifacts import is_int
 from .errors import ContractViolation, DataError
-from .ops import SEQNN_OPS
+from .ops import PASSIVE_OPS, SEQNN_OPS
 
 __all__ = ["SearchConfig"]
 
@@ -58,7 +58,7 @@ class SearchConfig:
             raise ContractViolation("epochs and batch_size must be positive")
         if not (0.0 <= self.dropout < 1.0) or self.grad_clip < 0.0:
             raise ContractViolation("dropout in [0, 1), grad_clip >= 0")
-        allowed = set(SEQNN_OPS) | {"skip_connect", "none"}
+        allowed = set(SEQNN_OPS) | set(PASSIVE_OPS)
         bad = [s for s in self.seq_scope if s not in allowed]
         if bad or not self.seq_scope:
             raise ContractViolation(f"invalid SeqNN scope entries: {bad}")

@@ -28,8 +28,9 @@ from .genome import Genome, deserialize, serialize
 from .metrics import ua as ua_metric
 from .metrics import wa as wa_metric
 from .optim import cosine_lr
-from .cell import eval_cell
-from .ops import Module, build_cnn_op, build_seq_op, count_params
+from .cell import (_edge_op, augment_scope, check_retained, component_key,
+                   edge_stride, eval_cell)
+from .ops import CNN_OPS, SEQNN_OPS, Module, count_params
 from .search import _as_xy, _batches, _RunningSplit, _sgd, _train_step
 from .supernet import Backbone
 from .tensor import Tensor, dropout
@@ -45,32 +46,22 @@ CHECKPOINT_VERSION = 2
 
 
 class DerivedCell(Module):
-    """One discrete cell: node j sums its retained incoming edges."""
+    """One discrete cell: node j sums its retained incoming edges, which
+    must pass `check_retained` (canonical order, every node fed)."""
 
     def __init__(self, kind: str, edges: list[dict], width: int, b: int,
                  reduction: bool, rng: np.random.Generator):
         self.kind = kind
         self.reduction = reduction
-        self.sources: list[list[int]] = [[] for _ in range(b)]
-        self.ops: list[Module] = []
-        for e in sorted(edges, key=lambda e: (e["to_node"], e["from_node"])):
-            i, j, name = e["from_node"], e["to_node"], e["op"]
-            if not (2 <= j < 2 + b and 0 <= i < j):
-                raise ContractViolation(
-                    f"edge ({i} -> {j}) does not fit a {b}-node cell")
-            stride = 2 if (reduction and i < 2) else 1
-            if kind == "cnn":
-                self.ops.append(build_cnn_op(name, width, stride, rng, True))
-            else:
-                self.ops.append(build_seq_op(name, width, width, rng))
-            self.sources[j - 2].append(i)
-        for j, srcs in enumerate(self.sources, 2):
-            if not srcs:
-                raise ContractViolation(
-                    f"node {j} has no retained incoming edges")
+        ops = CNN_OPS if kind == "cnn" else augment_scope(SEQNN_OPS)
+        edges = check_retained(edges, b, ops)
+        self.edge_index = [(e["from_node"], e["to_node"]) for e in edges]
+        self.ops = [_edge_op(kind, e["op"], width,
+                             edge_stride(reduction, e["from_node"]), rng, True)
+                    for e in edges]
 
     def forward(self, inputs: list[Tensor]) -> Tensor:
-        return eval_cell(self.kind, inputs, self.sources,
+        return eval_cell(self.kind, inputs, self.edge_index,
                          lambda k, x: self.ops[k](x))
 
 
@@ -92,12 +83,8 @@ class DerivedModel(Backbone):
 
     def _cell(self, kind: str, reduction: bool,
               rng: np.random.Generator) -> DerivedCell:
-        g, echo = self.genome, self.genome.config
-        part, blueprint = (("SeqNN", g.seqnn) if kind == "seqnn" else
-                           ("reduction", g.cnn_reduce) if reduction else
-                           ("normal", g.cnn_normal))
-        if not blueprint:
-            raise ContractViolation(f"genome lacks a {part} blueprint")
+        echo = self.genome.config
+        blueprint = self.genome.components()[component_key(kind, reduction)]
         width = echo["channels"] if kind == "cnn" else echo["hidden"]
         return DerivedCell(kind, blueprint, width, echo["B"][kind], reduction,
                            rng)

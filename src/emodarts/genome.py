@@ -2,14 +2,17 @@
 
 A genome freezes the outcome of a search: for each cell kind it lists the
 retained edges as (from_node, to_node, op) triples, plus the SeqNN
-candidate scope and an echo of the structural config. Node indices follow
-cell layout: 0 and 1 are the two input nodes, intermediates start at 2.
+candidate scope and an echo of the structural config. Node indices,
+edge order and the component keys follow the cell layout of `cell`: 0 and
+1 are the two input nodes, intermediates start at 2.
 
 Retention keeps the two strongest incoming edges per intermediate node
 (every edge, under retain-all), where an edge's strength is its best
 non-"none" softmax weight. Serialization is canonical: sorted keys,
 compact separators, edges ordered by (to_node, from_node), so equal
-genomes produce byte-identical JSON.
+genomes produce byte-identical JSON. `deserialize` accepts only a genome
+that builds: every component passes `cell.check_retained`, the widths are
+positive, and every component the echoed C and N need is non-empty.
 """
 
 from __future__ import annotations
@@ -20,17 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import is_int
-from .cell import discretize_edge
+from .cell import (augment_scope, cell_edges, check_retained, component_key,
+                   discretize_edge)
 from .errors import ContractViolation, DataError
-from .ops import CNN_OPS, SEQNN_OPS
-from .supernet import Supernet
+from .ops import CNN_OPS, PASSIVE_OPS, SEQNN_OPS
+from .supernet import Supernet, reduction_positions
 
 __all__ = ["Genome", "GENOME_VERSION", "extract_genome", "serialize",
            "deserialize", "detect_degenerate", "export_dot"]
 
 GENOME_VERSION = 1
-
-_PASSIVE = {"skip_connect", "none"}
 
 
 @dataclass
@@ -47,43 +49,33 @@ class Genome:
                 "seqnn": self.seqnn}
 
 
-def _edge_iter(b: int, num_inputs: int = 2):
-    for j in range(num_inputs, num_inputs + b):
-        for i in range(j):
-            yield i, j
-
-
 def _retain(table: np.ndarray, scope: list, b: int,
             retain_all: bool) -> list[dict]:
     """Discretize one coefficient table into a retained-edge list."""
-    rows = {edge: k for k, edge in enumerate(_edge_iter(b))}
-    if table.shape[0] != len(rows):
+    edges = cell_edges(b)
+    if table.shape[0] != len(edges):
         raise ContractViolation(
-            f"table has {table.shape[0]} rows for {len(rows)} edges")
-    picked: list[tuple[int, int, str]] = []
-    for j in range(2, 2 + b):
-        incoming = []
-        for i in range(j):
-            op, strength = discretize_edge(table[rows[(i, j)]], scope)
-            incoming.append((-strength, i, op))
-        incoming.sort()
-        keep = incoming if retain_all else incoming[:2]
-        picked.extend((i, j, op) for _, i, op in keep)
-    picked.sort(key=lambda e: (e[1], e[0]))
-    return [{"from_node": i, "to_node": j, "op": op} for i, j, op in picked]
+            f"table has {table.shape[0]} rows for {len(edges)} edges")
+    incoming: dict[int, list] = {}
+    for row, (i, j) in zip(table, edges):
+        op, strength = discretize_edge(row, scope)
+        incoming.setdefault(j, []).append((-strength, i, op))
+    picked = []
+    for j, cands in incoming.items():
+        keep = sorted(cands)[:None if retain_all else 2]
+        picked += [{"from_node": i, "to_node": j, "op": op}
+                   for _, i, op in sorted(keep, key=lambda c: c[1])]
+    return picked
 
 
 def extract_genome(net: Supernet, retain_all: bool = False) -> Genome:
     cfg = net.config
     genome = Genome(version=GENOME_VERSION, scope=list(net.seq_scope))
-    for key, attr, b in (("cnn_normal", "cnn_normal", cfg.B_cnn),
-                         ("cnn_reduce", "cnn_reduce", cfg.B_cnn)):
-        table = net.alpha(attr)
-        if table is not None:
-            setattr(genome, key, _retain(table.data, CNN_OPS, b, retain_all))
-    seq = net.alpha("seqnn")
-    if seq is not None:
-        genome.seqnn = _retain(seq.data, net.seq_scope, cfg.B_seqnn, retain_all)
+    cells = {component_key(c.kind, c.reduction): c
+             for c in net.cnn_cells + net.seq_cells}
+    for key, cell in cells.items():
+        setattr(genome, key, _retain(net.alpha(key).data, cell.scope, cell.b,
+                                     retain_all))
     genome.config = {
         "B": {"cnn": cfg.B_cnn, "seqnn": cfg.B_seqnn},
         "C": cfg.C, "N": cfg.N,
@@ -104,28 +96,6 @@ def serialize(genome: Genome) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _check_edges(edges, scope, b, name) -> list[dict]:
-    if not isinstance(edges, list):
-        raise DataError(f"{name}: expected a list of edges")
-    allowed = set(scope) | _PASSIVE
-    out = []
-    for e in edges:
-        if not isinstance(e, dict) or set(e) != {"from_node", "to_node", "op"}:
-            raise DataError(f"{name}: malformed edge {e!r}")
-        i, j, op = e["from_node"], e["to_node"], e["op"]
-        if not (is_int(i) and is_int(j)):
-            raise DataError(f"{name}: non-integer node in {e!r}")
-        if not (0 <= i < j < 2 + b):
-            raise DataError(f"{name}: edge ({i} -> {j}) outside a {b}-node cell")
-        if op not in allowed:
-            raise DataError(f"{name}: unknown op {op!r}")
-        out.append({"from_node": i, "to_node": j, "op": op})
-    ordered = sorted(out, key=lambda e: (e["to_node"], e["from_node"]))
-    if ordered != out:
-        raise DataError(f"{name}: edges not in (to_node, from_node) order")
-    return out
-
-
 def deserialize(text: str) -> Genome:
     try:
         doc = json.loads(text)
@@ -142,7 +112,7 @@ def deserialize(text: str) -> Genome:
         raise DataError(f"unsupported genome version {doc['version']!r}")
     scope = doc["scope"]
     if (not isinstance(scope, list) or
-            not set(scope) <= set(SEQNN_OPS) | _PASSIVE):
+            not all(s in augment_scope(SEQNN_OPS) for s in scope)):
         raise DataError(f"invalid scope {scope!r}")
     cfg = doc["config"]
     shape = {"B", "C", "N", "channels", "hidden"}
@@ -152,19 +122,30 @@ def deserialize(text: str) -> Genome:
             or not all(is_int(v) and v >= 1
                        for v in cfg["B"].values())):
         raise DataError("config echo B must be {cnn: int>=1, seqnn: int>=1}")
-    for k in ("C", "N", "channels", "hidden"):
-        if not is_int(cfg[k]) or cfg[k] < 0:
-            raise DataError(f"config echo {k} must be a non-negative integer")
-    genome = Genome(
-        version=doc["version"], scope=list(scope),
-        cnn_normal=_check_edges(doc["cnn_normal"], CNN_OPS,
-                                cfg["B"]["cnn"], "cnn_normal"),
-        cnn_reduce=_check_edges(doc["cnn_reduce"], CNN_OPS,
-                                cfg["B"]["cnn"], "cnn_reduce"),
-        seqnn=_check_edges(doc["seqnn"], scope, cfg["B"]["seqnn"], "seqnn"),
-        config={"B": dict(cfg["B"]), "C": cfg["C"], "N": cfg["N"],
-                "channels": cfg["channels"], "hidden": cfg["hidden"]})
-    return genome
+    for k, low in (("C", 0), ("N", 0), ("channels", 1), ("hidden", 1)):
+        if not is_int(cfg[k]) or cfg[k] < low:
+            raise DataError(f"config echo {k} must be an integer >= {low}")
+    edges = {}
+    for key, ops, b in (("cnn_normal", CNN_OPS, cfg["B"]["cnn"]),
+                        ("cnn_reduce", CNN_OPS, cfg["B"]["cnn"]),
+                        ("seqnn", augment_scope(scope), cfg["B"]["seqnn"])):
+        try:   # an empty component stands for a cell kind the net lacks
+            edges[key] = (check_retained(doc[key], b, ops)
+                          if doc[key] != [] else [])
+        except ContractViolation as exc:
+            raise DataError(f"{key}: {exc}") from exc
+    # cell 0 and the reduction cells cover every kind a CNN chain has
+    reds = reduction_positions(cfg["C"])
+    needed = {component_key("cnn", k in reds) for k in {0} | reds
+              if k < cfg["C"]} | ({"seqnn"} if cfg["N"] else set())
+    for key in sorted(needed):
+        if not edges[key]:
+            raise DataError(f"genome lacks a {key} blueprint, which "
+                            f"C={cfg['C']}, N={cfg['N']} need")
+    return Genome(version=doc["version"], scope=list(scope),
+                  config={"B": dict(cfg["B"]), "C": cfg["C"], "N": cfg["N"],
+                          "channels": cfg["channels"], "hidden": cfg["hidden"]},
+                  **edges)
 
 
 def detect_degenerate(genome: Genome) -> dict:
@@ -173,7 +154,7 @@ def detect_degenerate(genome: Genome) -> dict:
     cnn = genome.cnn_normal + genome.cnn_reduce
     out = {}
     for name, edges in (("cnn", cnn), ("seqnn", genome.seqnn)):
-        out[name] = bool(edges) and all(e["op"] in _PASSIVE for e in edges)
+        out[name] = bool(edges) and all(e["op"] in PASSIVE_OPS for e in edges)
     return out
 
 
@@ -185,8 +166,7 @@ def export_dot(genome: Genome) -> str:
     for comp, edges in genome.components().items():
         if not edges:
             continue
-        b = (genome.config.get("B", {}).get("seqnn") if comp == "seqnn"
-             else genome.config.get("B", {}).get("cnn"))
+        b = genome.config.get("B", {}).get("seqnn" if comp == "seqnn" else "cnn")
         if b is None:
             b = max(e["to_node"] for e in edges) - 1
         lines.append(f"  subgraph cluster_{comp} {{")

@@ -35,8 +35,8 @@ from .ops import (SEQNN_OPS, AdditiveAttention, Linear, LSTMLayer, Module,
                   _uniform, count_params)
 from .search import search
 from .supernet import build_supernet, flatten_bridge
-from .tensor import (Tensor, concat, conv2d, dropout, max_pool2d, relu,
-                     softmax)
+from .tensor import (Tensor, _out_size, concat, conv2d, dropout, max_pool2d,
+                     relu, softmax)
 
 __all__ = [
     "STUDY_SCOPES", "SCOPE_OPS", "BASELINE_KINDS", "RESULT_COLUMNS",
@@ -159,9 +159,8 @@ class Baseline(Module):
         h, w = input_hw
         self.conv_w = _uniform(rng, (ch, 1, 2, 2), 4)
         self.conv_b = _uniform(rng, (1, ch, 1, 1), 4)
-        h = (h + 2 * 2 - 2) // 2 + 1
-        w = (w + 2 * 2 - 2) // 2 + 1
-        h, w = (h - 2) // 2 + 1, (w - 2) // 2 + 1
+        h, w = _out_size(h, 2, 2, 2), _out_size(w, 2, 2, 2)    # conv
+        h, w = _out_size(h, 2, 2), _out_size(w, 2, 2)          # max pool
         self._rng = np.random.default_rng([int(seed), 0xBA5E, 0xD0])
         if kind == "cnn":
             flat = ch * h * w

@@ -3,6 +3,9 @@
 Every operation is a Module mapping one tensor to one tensor of compatible
 shape: CNN ops map (B, C, H, W) to (B, C, H', W') where H' is H or H/2
 depending on the edge stride, and SeqNN ops map (B, T, F) to (B, T, H).
+`CNN_OPS` lists the keys of one name -> builder table. A `SEQNN_OPS` name is
+"<cell>_<depth>" or "<cell>_att_<depth>": a recurrent stack, optionally
+topped with attention. Every searchable scope also holds `PASSIVE_OPS`.
 Catalog order is load-bearing: architecture coefficient vectors index into
 these lists, and the lowest index wins ties at discretization time.
 """
@@ -12,24 +15,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import (Tensor, avg_pool2d, batch_norm, conv2d, max_pool2d,
-                     relu, softmax, tanh)
+from .tensor import (Tensor, _out_size, avg_pool2d, batch_norm, conv2d,
+                     max_pool2d, relu, softmax, tanh)
 
 __all__ = [
     "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear",
     "AdditiveAttention", "rnn_seq", "lstm_seq", "build_cnn_op",
-    "build_seq_op", "count_params",
+    "build_seq_op", "count_params", "PASSIVE_OPS",
 ]
 
-CNN_OPS = [
-    "max_pool_3x3", "avg_pool_3x3", "dil_conv_3x3", "dil_conv_5x5",
-    "sep_conv_3x3", "sep_conv_5x5", "conv_7x1_1x7", "skip_connect", "none",
-]
+_CNN_TABLE = {
+    "max_pool_3x3": lambda c, s, rng, affine: _PoolOp("max", s),
+    "avg_pool_3x3": lambda c, s, rng, affine: _PoolOp("avg", s),
+    "dil_conv_3x3": lambda c, s, rng, affine: DilConv(c, 3, s, rng, affine),
+    "dil_conv_5x5": lambda c, s, rng, affine: DilConv(c, 5, s, rng, affine),
+    "sep_conv_3x3": lambda c, s, rng, affine: SepConv(c, 3, s, rng, affine),
+    "sep_conv_5x5": lambda c, s, rng, affine: SepConv(c, 5, s, rng, affine),
+    "conv_7x1_1x7": lambda c, s, rng, affine: Conv7x1_1x7(c, s, rng, affine),
+    "skip_connect": lambda c, s, rng, affine: SkipConnect(s),
+    "none": lambda c, s, rng, affine: NoneOp(s),
+}
+CNN_OPS = list(_CNN_TABLE)
 
 SEQNN_OPS = [
     "lstm_1", "lstm_2", "lstm_3", "lstm_4", "lstm_att_1", "lstm_att_2",
     "rnn_1", "rnn_2", "rnn_3", "rnn_4", "rnn_att_1", "rnn_att_2",
 ]
+PASSIVE_OPS = ("skip_connect", "none")
 
 
 class Module:
@@ -231,7 +243,7 @@ class NoneOp(Module):
     def forward(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
         s = self.stride
-        return Tensor(np.zeros((b, c, (h - 1) // s + 1, (w - 1) // s + 1)))
+        return Tensor(np.zeros((b, c, _out_size(h, 1, s), _out_size(w, 1, s))))
 
 
 def kernel_pad(kernel: int, dilation: int = 1) -> int:
@@ -411,25 +423,9 @@ def build_cnn_op(name: str, channels: int, stride: int,
                  rng: np.random.Generator, affine: bool = False) -> Module:
     if stride not in (1, 2):
         raise ContractViolation(f"unsupported stride {stride}")
-    if name == "max_pool_3x3":
-        return _PoolOp("max", stride)
-    if name == "avg_pool_3x3":
-        return _PoolOp("avg", stride)
-    if name == "dil_conv_3x3":
-        return DilConv(channels, 3, stride, rng, affine)
-    if name == "dil_conv_5x5":
-        return DilConv(channels, 5, stride, rng, affine)
-    if name == "sep_conv_3x3":
-        return SepConv(channels, 3, stride, rng, affine)
-    if name == "sep_conv_5x5":
-        return SepConv(channels, 5, stride, rng, affine)
-    if name == "conv_7x1_1x7":
-        return Conv7x1_1x7(channels, stride, rng, affine)
-    if name == "skip_connect":
-        return SkipConnect(stride)
-    if name == "none":
-        return NoneOp(stride)
-    raise ContractViolation(f"unknown CNN op {name!r}")
+    if name not in _CNN_TABLE:
+        raise ContractViolation(f"unknown CNN op {name!r}")
+    return _CNN_TABLE[name](channels, stride, rng, affine)
 
 
 def build_seq_op(name: str, feat: int, hidden: int,
@@ -441,11 +437,8 @@ def build_seq_op(name: str, feat: int, hidden: int,
         return SeqIdentity()
     if name == "none":
         return SeqNone()
-    for cell in ("lstm", "rnn"):
-        for prefix, att in ((cell + "_att_", True), (cell + "_", False)):
-            if name.startswith(prefix):
-                suffix = name[len(prefix):]
-                if suffix.isdigit() and int(suffix) >= 1:
-                    return RecurrentStack(cell, int(suffix), feat, hidden,
-                                          rng, attention=att)
-    raise ContractViolation(f"unknown SeqNN op {name!r}")
+    if name not in SEQNN_OPS:
+        raise ContractViolation(f"unknown SeqNN op {name!r}")
+    cell, *att, depth = name.split("_")
+    return RecurrentStack(cell, int(depth), feat, hidden, rng,
+                          attention=bool(att))

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cell import Cell, augment_scope, num_edges
+from .cell import Cell, augment_scope, component_key, num_edges
 from .config import SearchConfig
 from .errors import ContractViolation
 from .ops import CNN_OPS, BatchNorm2d, Linear, Module, _uniform
-from .tensor import Tensor, concat, conv2d, cross_entropy, relu, softmax
+from .tensor import (Tensor, _out_size, concat, conv2d, cross_entropy, relu,
+                     softmax)
 
 __all__ = ["Backbone", "Supernet", "build_supernet", "flatten_bridge",
            "reduction_positions", "Stem", "ReLUConvNorm", "FactorizedReduce"]
@@ -30,9 +31,7 @@ __all__ = ["Backbone", "Supernet", "build_supernet", "flatten_bridge",
 
 def reduction_positions(c: int) -> set[int]:
     """Reduction cells sit a third and two thirds of the way in."""
-    if c <= 0:
-        return set()
-    return {c // 3, (2 * c) // 3} & set(range(c))
+    return {c // 3, (2 * c) // 3} if c > 0 else set()
 
 
 def flatten_bridge(x: Tensor) -> Tensor:
@@ -128,7 +127,7 @@ class Backbone(Module):
                         f"input_hw {self.input_hw} gives an odd {h}x{w} map "
                         f"at reduction cell {k}; the cell after it cannot "
                         f"halve an odd side")
-                h, w = (h + 1) // 2, (w + 1) // 2
+                h, w = _out_size(h, 1, 2), _out_size(w, 1, 2)
         self._init_arch(rng)
 
         self.seq_pre0: list[Module] = []
@@ -202,9 +201,8 @@ class Supernet(Backbone):
             for key, present, b, n_ops in tables if present}
 
     def _call_cell(self, cell: Cell, inputs: list[Tensor]) -> Tensor:
-        key = ("seqnn" if cell.kind == "seqnn" else
-               "cnn_reduce" if cell.reduction else "cnn_normal")
-        return cell(inputs, self._alphas[key])
+        return cell(inputs, self._alphas[component_key(cell.kind,
+                                                       cell.reduction)])
 
     # ---- alpha access ----
 

@@ -183,9 +183,15 @@ class Tensor:
         out = a.data @ b.data
 
         def vjp(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            return ga, gb
+            # lift a 1-D operand to a matrix as numpy does; drop the axis after
+            ad, bd = a.data, b.data
+            if bd.ndim == 1:
+                bd, g = bd[:, None], g[..., None]
+            if ad.ndim == 1:
+                ad, g = ad[None], g[..., None, :]
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+            return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
 
         return Tensor._make(out, (a, b), vjp)
 
@@ -378,6 +384,12 @@ def _pair(v):
     return tuple(v) if isinstance(v, (tuple, list)) else (v, v)
 
 
+def _out_size(n: int, kernel: int, stride: int = 1, padding: int = 0,
+              dilation: int = 1) -> int:
+    """Output length of a window op along one axis of length n."""
+    return (n + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
+
+
 def _windows(xp: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
     # strided view (B, C, kh, kw, Ho, Wo) over the padded input
     b, c = xp.shape[:2]
@@ -404,8 +416,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
         raise ContractViolation(
             f"conv2d channel mismatch: x has {cin} channels, weight is "
             f"{w.shape} with groups={groups}")
-    ho = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-    wo = (wd + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+    ho, wo = _out_size(h, kh, sh, ph, dh), _out_size(wd, kw, sw, pw, dw)
     if ho <= 0 or wo <= 0:
         raise ContractViolation(f"conv2d produces empty output from {x.shape}")
 
@@ -437,8 +448,7 @@ def max_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor
     x = as_tensor(x)
     sh, sw = _pair(stride)
     bsz, c, h, wd = x.shape
-    ho = (h + 2 * padding - kernel) // sh + 1
-    wo = (wd + 2 * padding - kernel) // sw + 1
+    ho, wo = _out_size(h, kernel, sh, padding), _out_size(wd, kernel, sw, padding)
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                 constant_values=-np.inf)
     win = _windows(xp, kernel, kernel, sh, sw, 1, 1, ho, wo)
@@ -464,8 +474,7 @@ def avg_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor
     x = as_tensor(x)
     sh, sw = _pair(stride)
     bsz, c, h, wd = x.shape
-    ho = (h + 2 * padding - kernel) // sh + 1
-    wo = (wd + 2 * padding - kernel) // sw + 1
+    ho, wo = _out_size(h, kernel, sh, padding), _out_size(wd, kernel, sw, padding)
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     xp = np.pad(x.data, pad)
     ones = np.pad(np.ones((1, 1, h, wd)), pad)

@@ -405,6 +405,19 @@ class TestReplay:
 NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
 
 
+def _genome_bytes(b_seqnn=1, channels=4):
+    """A genome for TINY_INI's net; b_seqnn=2 leaves SeqNN node 3 unfed."""
+    return json.dumps({
+        "version": 1, "scope": ["rnn_1", "skip_connect", "none"],
+        "cnn_normal": [],
+        "cnn_reduce": [{"from_node": i, "to_node": 2, "op": "skip_connect"}
+                       for i in (0, 1)],
+        "seqnn": [{"from_node": i, "to_node": 2, "op": "rnn_1"}
+                  for i in (0, 1)],
+        "config": {"B": {"cnn": 1, "seqnn": b_seqnn}, "C": 1, "N": 1,
+                   "channels": channels, "hidden": 8}}).encode()
+
+
 @pytest.mark.parametrize("argv,content", [
     (["export-dot", "--genome", "{bad}", "--out", "{tmp}/g.dot"], NOT_UTF8),
     (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
@@ -426,10 +439,15 @@ NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
       "--config", "{bad}"], b"[search]\ndropout = x\n"),
     (["search", "--data", "{edset}", "--out", "{tmp}/g.json",
       "--config", "{bad}"], b"[search]\nC = 2.5\n"),
+    (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
+      "{tmp}/m.ckpt", "--config", "{ini}"], _genome_bytes(b_seqnn=2)),
+    (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
+      "{tmp}/m.ckpt", "--config", "{ini}"], _genome_bytes(channels=0)),
 ], ids=["genome-export-dot", "genome-derive", "manifest", "manifest-number",
         "manifest-outputs-object", "manifest-argv-list-entry",
         "manifest-outputs-number-entry", "config", "index", "index-short-row",
-        "config-dropout-x", "config-fractional-C"])
+        "config-dropout-x", "config-fractional-C", "genome-orphan-node",
+        "genome-zero-channels"])
 def test_bad_input_file_exits_74(tmp_path, edset, ini, argv, content):
     bad = tmp_path / "bad"
     bad.write_bytes(content)

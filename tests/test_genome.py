@@ -120,6 +120,14 @@ def test_serialize_orders_edges_by_to_then_from():
     (lambda d: d.update(scope=["gru_9"]), "scope"),
     (lambda d: d["seqnn"][0].update(from_node=False, to_node=True), "integer"),
     (lambda d: d["config"].update(C=True), "echo"),
+    (lambda d: d["config"].update(hidden=0), "hidden"),
+    (lambda d: d.update(cnn_reduce=[]), "lacks a cnn_reduce"),
+    (lambda d: d.update(seqnn=d["seqnn"][:2]), "no retained incoming"),
+    (lambda d: d["seqnn"].insert(1, dict(d["seqnn"][0])), "repeated"),
+    (lambda d: d["seqnn"].insert(
+        0, {"from_node": 0, "to_node": 1, "op": "rnn_1"}), "(0 -> 1) outside"),
+    (lambda d: d["seqnn"][0].update(op=["rnn_1"]), "unknown op"),
+    (lambda d: d.update(scope=[["rnn_1"]]), "invalid scope"),
 ])
 def test_deserialize_rejects_malformed_documents(mutate, fragment):
     doc = json.loads(serialize(extract_genome(make_net())))

@@ -99,6 +99,10 @@ def test_unknown_ops_are_rejected():
         build_seq_op("gru_1", 8, 8, RNG(0))
     with pytest.raises(ContractViolation):
         build_seq_op("lstm_att_x", 8, 8, RNG(0))
+    # well-formed names outside the catalog are not ops either
+    for name in ("lstm_5", "rnn_att_3"):
+        with pytest.raises(ContractViolation):
+            build_seq_op(name, 8, 8, RNG(0))
 
 
 def test_skip_connect_reduction_subsamples_exactly():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emodarts import (ContractViolation, GraphReuseError, Tensor,
                       avg_pool2d, batch_norm, concat, conv2d, cross_entropy,
@@ -343,6 +344,93 @@ def test_softmax_rows_form_a_distribution(seed):
     s = softmax(x, axis=-1).data
     assert np.all(s >= 0)
     np.testing.assert_allclose(s.sum(axis=-1), 1.0, rtol=1e-12)
+
+
+def test_matmul_with_a_vector_operand_backpropagates():
+    a = Tensor(np.ones(3), requires_grad=True)
+    m = Tensor(np.ones((3, 2)), requires_grad=True)
+    (a @ m).sum().backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(m.grad, np.ones((3, 2)))
+    v = Tensor(np.arange(2.0), requires_grad=True)
+    (Tensor(np.ones((4, 2))) @ v).sum().backward()
+    np.testing.assert_array_equal(v.grad, [4.0, 4.0])
+
+
+# ---- property tests: every vjp against the finite-difference oracle ----
+
+def check_vjps(fn, arrays, seed):
+    """Backpropagate a random weighting of fn(*arrays) and compare the
+    gradient of every argument with central differences."""
+    arrays = [np.asarray(x, dtype=np.float64) for x in arrays]
+    w = np.random.default_rng(seed).normal(size=np.shape(fn(*arrays)))
+    ts = [Tensor(x, requires_grad=True) for x in arrays]
+    (fn(*ts) * Tensor(w)).sum().backward()
+    for k, x in enumerate(arrays):
+        def f(v, k=k):
+            args = [v if i == k else y for i, y in enumerate(arrays)]
+            return float((fn(*map(Tensor, args)).data * w).sum())
+        check_close(ts[k].grad, fd(f, x))
+
+
+BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BINARY)),
+       hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                         max_side=3),
+       st.integers(0, 2**32 - 1))
+def test_elementwise_vjps_under_broadcasting(op, shapes, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=s) for s in shapes.input_shapes)
+    if op == "/":   # keep the divisor away from zero
+        b = np.where(b < 0, -1.0, 1.0) * (0.5 + np.abs(b))
+    check_vjps(BINARY[op], [a, b], seed + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["1-D", "2-D", "batched"]),
+       st.sampled_from(["1-D", "2-D", "batched"]),
+       hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=1,
+                                         max_dims=2, max_side=3),
+       st.tuples(*[st.integers(1, 3)] * 3), st.integers(0, 2**32 - 1))
+def test_matmul_vjp_for_vector_matrix_and_batched_operands(
+        kind_a, kind_b, batches, dims, seed):
+    k, n, m = dims
+    batch_a, batch_b = batches.input_shapes
+    shape_a = {"1-D": (n,), "2-D": (k, n), "batched": batch_a + (k, n)}
+    shape_b = {"1-D": (n,), "2-D": (n, m), "batched": batch_b + (n, m)}
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape_a[kind_a])
+    b = rng.normal(size=shape_b[kind_b])
+    check_vjps(lambda x, y: x @ y, [a, b], seed + 1)
+
+
+@st.composite
+def index_cases(draw):
+    """An array shape and a key: an int, a slice (any step sign), a list of
+    indices that may repeat, or a boolean mask on the first axis,
+    optionally followed by an int or a slice on the second."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    n = shape[0]
+    key = draw(st.one_of(
+        st.integers(-n, n - 1), st.slices(n),
+        st.lists(st.integers(-n, n - 1), min_size=1, max_size=6),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)))
+    if len(shape) > 1 and draw(st.booleans()):
+        key = (key, draw(st.one_of(st.integers(-shape[1], shape[1] - 1),
+                                   st.slices(shape[1]))))
+    return shape, key
+
+
+@settings(max_examples=80, deadline=None)
+@given(index_cases(), st.integers(0, 2**32 - 1))
+def test_getitem_vjp_for_ints_slices_lists_and_masks(case, seed):
+    shape, key = case
+    x = np.random.default_rng(seed).normal(size=shape)
+    check_vjps(lambda t: t[key], [x], seed + 1)
 
 
 def test_finite_diff_restores_its_argument():
