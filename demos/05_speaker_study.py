@@ -25,7 +25,7 @@ def main():
     results, scatter = study(ds, cfg, scopes=["RNN Only", "LSTM Only"],
                              n_folds=2, seed=33, search_epochs=4,
                              train_epochs=10)
-    base_res, base_sc = study(ds, cfg, scopes=["cnn"], mode="baseline",
+    base_res, base_sc = study(ds, cfg, scopes=["cnn"],
                               n_folds=2, seed=33, train_epochs=10)
     results += base_res
     scatter += base_sc

@@ -22,7 +22,7 @@ import numpy as np
 from .artifacts import is_int
 from .errors import ContractViolation
 from .ops import PASSIVE_OPS, Module, build_cnn_op, build_seq_op
-from .tensor import Tensor, concat, softmax, stack
+from .tensor import Tensor, _mix, concat, softmax
 
 __all__ = ["MixedEdge", "Cell", "eval_cell", "num_edges", "augment_scope",
            "discretize_edge", "cell_edges", "edge_stride", "component_key",
@@ -65,7 +65,9 @@ def check_retained(edges, b: int, ops) -> list[dict]:
     """Check the retained edges of a discrete 2-input cell with `b`
     intermediate nodes; returns plain copies. Each is {from_node, to_node,
     op} with ints 0 <= from < to, 2 <= to < 2 + b and an op in `ops`. They
-    come once each in cell_edges order; every intermediate node has one."""
+    come once each in cell_edges order; every intermediate node has one,
+    and each input node feeds one whose op is not "none" (an unused input's
+    projection would never get a gradient)."""
     if not isinstance(edges, list):
         raise ContractViolation("expected a list of edges")
     out = []
@@ -88,6 +90,10 @@ def check_retained(edges, b: int, ops) -> list[dict]:
     if orphans:
         raise ContractViolation(
             f"node {min(orphans)} has no retained incoming edges")
+    unused = {0, 1} - {e["from_node"] for e in out if e["op"] != "none"}
+    if unused:
+        raise ContractViolation(
+            f"input node {min(unused)} feeds no retained edge other than none")
     return out
 
 
@@ -130,10 +136,7 @@ class MixedEdge(Module):
         if alpha.shape != (len(self.ops),):
             raise ContractViolation(
                 f"edge got {len(self.ops)} candidates but alpha {alpha.shape}")
-        weights = softmax(alpha, axis=0)
-        outs = stack([op(x) for op in self.ops], axis=0)
-        wshape = (len(self.ops),) + (1,) * (outs.ndim - 1)
-        return (outs * weights.reshape(wshape)).sum(axis=0)
+        return _mix(softmax(alpha, axis=0), [op(x) for op in self.ops])
 
 
 class Cell(Module):

@@ -129,7 +129,7 @@ def train_derived(model: DerivedModel, train_split, config: SearchConfig,
         opt.set_lr(lr)
         tally = _RunningSplit(by_sample=True)
         for batch in _batches(len(x), config.batch_size, rng):
-            _train_step(model, x[batch], y[batch], opt, (opt,), tally, history,
+            _train_step(model, x[batch], y[batch], opt, tally, history,
                         "training", config.grad_clip)
         history.append(DerivedEpoch(epoch, *tally.summary(), lr))
     return history

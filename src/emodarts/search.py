@@ -5,8 +5,10 @@ search split, stepped with Adam on the coefficient tables) with a shuffled
 stream of weight-update batches (the train split, stepped with momentum
 SGD under a cosine schedule). The shorter stream recycles until the longer
 one is exhausted. Coefficients and weights belong to disjoint optimizers,
-so neither step can touch the other group. Both steps, and every batch of
-`derived.train_derived`, run through `_train_step`.
+so neither step can touch the other group, and each step freezes the other
+group, so its backward computes no gradient the step would discard. Both
+steps, and every batch of `derived.train_derived`, run through
+`_train_step`.
 
 History carries one row per epoch and nothing that depends on the clock,
 which keeps written artifacts byte-reproducible.
@@ -14,6 +16,7 @@ which keeps written artifacts byte-reproducible.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +112,26 @@ def _sgd(params, config: SearchConfig, epochs: int):
             CosineSchedule(config.lr_max, config.lr_min, max(epochs - 1, 1)))
 
 
-def _train_step(model, x, y, opt, clear, tally: _RunningSplit, history,
+@contextmanager
+def _frozen(params):
+    """Switch requires_grad off for `params` for the duration of the block,
+    and back on however the block ends."""
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
+
+
+def _train_step(model, x, y, opt, tally: _RunningSplit, history,
                 phase: str, clip: float = 0.0) -> None:
     """One minibatch: forward, cross-entropy, backward, clip `opt`'s
-    gradients to global norm `clip` when clip > 0, step `opt`, clear the
-    gradients of every optimizer in `clear`, and tally the batch. A
-    non-finite loss raises NumericFault carrying `history`, the finished
-    epochs (so its length is the current epoch)."""
+    gradients to global norm `clip` when clip > 0, step `opt`, clear its
+    gradients, and tally the batch. Every parameter outside `opt` must be
+    frozen. A non-finite loss raises NumericFault carrying `history`, the
+    finished epochs (so its length is the current epoch)."""
     logits = model.forward_logits(Tensor(x))
     loss = cross_entropy(logits, y)
     val = loss.item()
@@ -126,8 +142,7 @@ def _train_step(model, x, y, opt, clear, tally: _RunningSplit, history,
     if clip > 0:
         clip_grad_norm(opt.params, clip)
     opt.step()
-    for o in clear:
-        o.zero_grad()
+    opt.zero_grad()
     tally.add(val, y, logits.data)
 
 
@@ -152,6 +167,9 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
                  weight_decay=config.arch_weight_decay)
     rng = np.random.default_rng([config.seed, 0x5EA2C4])
     net.set_training(True)
+    # a step fills and clears only its own group: start both empty
+    w_opt.zero_grad()
+    a_opt.zero_grad()
 
     def emit(event, epoch, step):
         if on_step is not None:
@@ -166,14 +184,15 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
         run_t, run_s = _RunningSplit(), _RunningSplit()
         for i in range(max(len(tb), len(sb))):
             sidx, tidx = sb[i % len(sb)], tb[i % len(tb)]
-            # a backward fills both groups, so each step clears both
             emit("pre_alpha", epoch, i)
-            _train_step(net, xs[sidx], ys[sidx], a_opt, (w_opt, a_opt), run_s,
-                        history, "search")
+            with _frozen(w_opt.params):
+                _train_step(net, xs[sidx], ys[sidx], a_opt, run_s, history,
+                            "search")
             emit("post_alpha", epoch, i)
             emit("pre_weight", epoch, i)
-            _train_step(net, xt[tidx], yt[tidx], w_opt, (w_opt, a_opt), run_t,
-                        history, "train", config.grad_clip)
+            with _frozen(alphas):
+                _train_step(net, xt[tidx], yt[tidx], w_opt, run_t, history,
+                            "train", config.grad_clip)
             emit("post_weight", epoch, i)
 
         history.append(EpochStats(epoch, *run_s.summary(), *run_t.summary(),

@@ -290,6 +290,29 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(out, tuple(ts), vjp)
 
 
+def _mix(weights: Tensor, outs) -> Tensor:
+    """sum_k weights[k] * outs[k] over a (K,) weight vector and K tensors of
+    one shape, accumulated in candidate order as one graph node (no K-fold
+    stacked copy stays alive until backward)."""
+    outs = [as_tensor(o) for o in outs]
+    wd = weights.data
+    if wd.shape != (len(outs),) or any(o.shape != outs[0].shape for o in outs):
+        raise ContractViolation(
+            f"mix wants one weight per candidate and candidates of one shape, "
+            f"got weights {wd.shape} and {[o.shape for o in outs]}")
+    out = wd[0] * outs[0].data
+    for k in range(1, len(outs)):
+        out += wd[k] * outs[k].data
+
+    def vjp(g):
+        gw = (np.array([np.vdot(g, o.data) for o in outs])
+              if weights.requires_grad else None)
+        return (gw,) + tuple(g * wd[k] if o.requires_grad else None
+                             for k, o in enumerate(outs))
+
+    return Tensor._make(out, (weights, *outs), vjp)
+
+
 # ---- elementwise ----
 
 def relu(x: Tensor) -> Tensor:
@@ -399,12 +422,24 @@ def _windows(xp: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
+def _taps(a: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
+    """Yield (i, j, view) for each kernel tap: the (..., Ho, Wo) slice of
+    the padded map `a` that tap (i, j) reads."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, a[..., i * dh:i * dh + sh * (ho - 1) + 1:sh,
+                          j * dw:j * dw + sw * (wo - 1) + 1:sw]
+
+
 def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
            groups: int = 1) -> Tensor:
     """2-D cross-correlation. x: (B, Cin, H, W), w: (Cout, Cin/groups, kh, kw).
 
-    No bias term; the op catalog always follows a convolution with a
-    normalization layer, which absorbs any constant shift.
+    A depthwise convolution (one input and one output channel per group)
+    runs as a loop over kernel taps; every other one as an im2col GEMM per
+    group. Only parents with requires_grad get a gradient. No bias term;
+    the op catalog always follows a convolution with a normalization
+    layer, which absorbs any constant shift.
     """
     x, w = as_tensor(x), as_tensor(w)
     sh, sw = _pair(stride)
@@ -421,24 +456,59 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
         raise ContractViolation(f"conv2d produces empty output from {x.shape}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _windows(xp, kh, kw, sh, sw, dh, dw, ho, wo)
-    cols = cols.reshape(bsz, groups, cg, kh, kw, ho, wo)
-    wg = w.data.reshape(groups, cout // groups, cg, kh, kw)
-    out = np.einsum("bgcijhw,gocij->bgohw", cols, wg, optimize=True)
-    out = out.reshape(bsz, cout, ho, wo)
+    geom = (kh, kw, sh, sw, dh, dw, ho, wo)
+    og = cout // groups
+
+    def dx_of(dtap):
+        # scatter-add each tap's (B, groups, cg, Ho, Wo) input gradient back
+        # onto the padded map
+        dxp = np.zeros_like(xp)
+        for i, j, view in _taps(dxp.reshape(bsz, groups, cg, *xp.shape[2:]),
+                                *geom):
+            view += dtap(i, j)
+        return dxp[:, :, ph:ph + h, pw:pw + wd]
+
+    if cg == 1 and cout == cin:
+        wk = w.data[:, 0, :, :, None, None]          # (C, kh, kw, 1, 1)
+        out = np.zeros((bsz, cout, ho, wo))
+        for i, j, view in _taps(xp, *geom):
+            out += view * wk[:, i, j]
+
+        def vjp(g):
+            dx = (dx_of(lambda i, j: (g * wk[:, i, j])[:, :, None])
+                  if x.requires_grad else None)
+            gw = None
+            if w.requires_grad:
+                gw = np.empty(w.shape)
+                for i, j, view in _taps(xp, *geom):
+                    gw[:, 0, i, j] = np.einsum("bchw,bchw->c", view, g)
+            return dx, gw
+
+        return Tensor._make(out, (x, w), vjp)
+
+    def columns():
+        # (groups, cg*kh*kw, B*Ho*Wo), one contiguous copy of the windows
+        win = _windows(xp, *geom).reshape(bsz, groups, cg, kh, kw, ho, wo)
+        return np.ascontiguousarray(win.transpose(1, 2, 3, 4, 0, 5, 6)).reshape(
+            groups, cg * kh * kw, bsz * ho * wo)
+
+    wmat = w.data.reshape(groups, og, cg * kh * kw)
+    out = (wmat @ columns()).reshape(groups, og, bsz, ho, wo)
+    out = out.transpose(2, 0, 1, 3, 4).reshape(bsz, cout, ho, wo)
 
     def vjp(g):
-        gg = g.reshape(bsz, groups, cout // groups, ho, wo)
-        gweight = np.einsum("bgcijhw,bgohw->gocij", cols, gg, optimize=True)
-        dcols = np.einsum("gocij,bgohw->bgcijhw", wg, gg, optimize=True)
-        dcols = dcols.reshape(bsz, cin, kh, kw, ho, wo)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i * dh:i * dh + sh * ho:sh,
-                    j * dw:j * dw + sw * wo:sw] += dcols[:, :, i, j]
-        dx = dxp[:, :, ph:ph + h, pw:pw + wd]
-        return dx, gweight.reshape(w.shape)
+        gmat = np.ascontiguousarray(
+            g.reshape(bsz, groups, og, ho, wo).transpose(1, 2, 0, 3, 4)
+        ).reshape(groups, og, bsz * ho * wo)
+        gw = None
+        if w.requires_grad:
+            gw = (gmat @ columns().transpose(0, 2, 1)).reshape(w.shape)
+        dx = None
+        if x.requires_grad:
+            dcols = (wmat.transpose(0, 2, 1) @ gmat).reshape(
+                groups, cg, kh, kw, bsz, ho, wo)
+            dx = dx_of(lambda i, j: dcols[:, :, i, j].transpose(2, 0, 1, 3, 4))
+        return dx, gw
 
     return Tensor._make(out, (x, w), vjp)
 

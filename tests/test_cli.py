@@ -405,13 +405,15 @@ class TestReplay:
 NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
 
 
-def _genome_bytes(b_seqnn=1, channels=4):
-    """A genome for TINY_INI's net; b_seqnn=2 leaves SeqNN node 3 unfed."""
+def _genome_bytes(b_seqnn=1, channels=4, reduce_ops=("skip_connect",) * 2):
+    """A genome for TINY_INI's net; b_seqnn=2 leaves SeqNN node 3 unfed, and
+    `reduce_ops` are the reduction cell's ops from input nodes 0 and 1 (a
+    missing one drops that edge)."""
     return json.dumps({
         "version": 1, "scope": ["rnn_1", "skip_connect", "none"],
         "cnn_normal": [],
-        "cnn_reduce": [{"from_node": i, "to_node": 2, "op": "skip_connect"}
-                       for i in (0, 1)],
+        "cnn_reduce": [{"from_node": i, "to_node": 2, "op": op}
+                       for i, op in enumerate(reduce_ops)],
         "seqnn": [{"from_node": i, "to_node": 2, "op": "rnn_1"}
                   for i in (0, 1)],
         "config": {"B": {"cnn": 1, "seqnn": b_seqnn}, "C": 1, "N": 1,
@@ -443,11 +445,18 @@ def _genome_bytes(b_seqnn=1, channels=4):
       "{tmp}/m.ckpt", "--config", "{ini}"], _genome_bytes(b_seqnn=2)),
     (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
       "{tmp}/m.ckpt", "--config", "{ini}"], _genome_bytes(channels=0)),
+    (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
+      "{tmp}/m.ckpt", "--config", "{ini}"],
+     _genome_bytes(reduce_ops=("skip_connect",))),
+    (["derive", "--genome", "{bad}", "--data", "{edset}", "--out",
+      "{tmp}/m.ckpt", "--config", "{ini}"],
+     _genome_bytes(reduce_ops=("skip_connect", "none"))),
 ], ids=["genome-export-dot", "genome-derive", "manifest", "manifest-number",
         "manifest-outputs-object", "manifest-argv-list-entry",
         "manifest-outputs-number-entry", "config", "index", "index-short-row",
         "config-dropout-x", "config-fractional-C", "genome-orphan-node",
-        "genome-zero-channels"])
+        "genome-zero-channels", "genome-unused-input",
+        "genome-none-input"])
 def test_bad_input_file_exits_74(tmp_path, edset, ini, argv, content):
     bad = tmp_path / "bad"
     bad.write_bytes(content)

@@ -109,6 +109,16 @@ def test_serialize_orders_edges_by_to_then_from():
         assert keys == sorted(keys)
 
 
+def _one_node_reduce(*ops):
+    """A mutation to a 1-node reduction cell whose input node i feeds node
+    2 through ops[i]."""
+    def mutate(doc):
+        doc["config"]["B"]["cnn"] = 1
+        doc["cnn_reduce"] = [{"from_node": i, "to_node": 2, "op": op}
+                             for i, op in enumerate(ops)]
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda d: d.update(version=2), "version"),
     (lambda d: d.pop("seqnn"), "missing"),
@@ -128,6 +138,9 @@ def test_serialize_orders_edges_by_to_then_from():
         0, {"from_node": 0, "to_node": 1, "op": "rnn_1"}), "(0 -> 1) outside"),
     (lambda d: d["seqnn"][0].update(op=["rnn_1"]), "unknown op"),
     (lambda d: d.update(scope=[["rnn_1"]]), "invalid scope"),
+    (_one_node_reduce("skip_connect"), "input node 1 feeds no retained edge"),
+    (_one_node_reduce("skip_connect", "none"),
+     "input node 1 feeds no retained edge"),
 ])
 def test_deserialize_rejects_malformed_documents(mutate, fragment):
     doc = json.loads(serialize(extract_genome(make_net())))

@@ -7,9 +7,10 @@ from emodarts import NumericFault
 from emodarts.config import SearchConfig
 from emodarts.metrics import ua, wa
 from emodarts.optim import CosineSchedule, cosine_lr
-from emodarts.search import (HISTORY_COLUMNS, _RunningSplit, alpha_entropy,
-                             search, write_history_csv)
+from emodarts.search import (HISTORY_COLUMNS, _frozen, _RunningSplit,
+                             alpha_entropy, search, write_history_csv)
 from emodarts.supernet import build_supernet
+from emodarts.tensor import Tensor, cross_entropy
 
 
 def tiny_config(**kw):
@@ -120,8 +121,7 @@ def test_steps_isolate_parameter_groups():
 
 
 def test_every_step_leaves_both_groups_without_gradients():
-    # the coefficient step's backward also fills the weight gradients; left
-    # in place they would add to the next weight step's
+    # a gradient left on either group would add to that group's next step
     cfg = tiny_config(epochs=1)
     net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
     held = []
@@ -168,6 +168,47 @@ def test_non_finite_loss_raises_numeric_fault_with_partial_history():
     # the fault fires inside epoch 1, so only epoch 0 completed
     kept = err.value.history
     assert [h.epoch for h in kept] == [0]
+
+
+@pytest.mark.parametrize("poisoned_after", ["post_alpha", "post_weight"])
+def test_a_fault_in_either_step_unfreezes_both_groups(poisoned_after):
+    # poisoned after a coefficient step, the weight step faults next, and
+    # the other way round
+    cfg = tiny_config(epochs=2)
+    net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
+    weights, alphas = net.params(), net.arch_params()
+
+    def poison(ev):
+        if ev["event"] == poisoned_after:
+            net.stem.weight.data[:] = np.nan
+
+    with pytest.raises(NumericFault, match="train" if poisoned_after ==
+                       "post_alpha" else "search"):
+        search(net, blobs(16, 7), blobs(16, 8), cfg, on_step=poison)
+    assert all(p.requires_grad for p in weights + alphas)
+
+
+def test_freezing_the_weights_leaves_the_coefficient_gradient_bit_equal():
+    cfg = tiny_config(C=2, B_cnn=2)
+    net = build_supernet(cfg, np.random.default_rng(cfg.seed), input_hw=(8, 8))
+    x, y = blobs(8, 13)
+    weights, alphas = net.params(), net.arch_params()
+
+    def coefficient_grads(frozen):
+        with _frozen(frozen):
+            cross_entropy(net.forward_logits(Tensor(x[:, None])), y).backward()
+        grads = [a.grad for a in alphas]
+        filled = [p.grad is not None for p in weights]
+        for p in weights + alphas:
+            p.grad = None
+        return grads, filled
+
+    free, filled = coefficient_grads([])
+    frozen, skipped = coefficient_grads(weights)
+    for a, b in zip(free, frozen):
+        np.testing.assert_array_equal(a, b)
+    assert all(filled) and not any(skipped)
+    assert all(p.requires_grad for p in weights)
 
 
 def test_shorter_stream_recycles():

@@ -15,6 +15,7 @@ from emodarts import (ContractViolation, GraphReuseError, Tensor,
                       avg_pool2d, batch_norm, concat, conv2d, cross_entropy,
                       dropout, finite_diff_grad, log_softmax, max_pool2d,
                       relu, sigmoid, softmax, stack, tanh)
+from emodarts.tensor import _mix
 
 RTOL, ATOL = 1e-3, 1e-5
 
@@ -171,6 +172,31 @@ def test_concat_stack_getitem_against_finite_differences():
     check_close(t.grad, fd(lambda av: build(av)[1].item(), a))
 
 
+def test_mix_against_finite_differences():
+    rng = np.random.default_rng(17)
+    w, a, b = rng.normal(size=3), rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+    g = rng.normal(size=(2, 5))
+    const = rng.normal(size=(2, 5))     # a candidate with no graph
+
+    def build(wv, av, bv):
+        ts = [Tensor(v, requires_grad=True) for v in (wv, av, bv)]
+        out = _mix(ts[0], [ts[1] * 2.0, Tensor(const), tanh(ts[2])])
+        return ts, (out * Tensor(g)).sum()
+
+    (tw, ta, tb), out = build(w, a, b)
+    np.testing.assert_allclose(
+        _mix(Tensor(w), [Tensor(a), Tensor(const), Tensor(b)]).data,
+        w[0] * a + w[1] * const + w[2] * b, rtol=1e-12)
+    out.backward()
+    check_close(tw.grad, fd(lambda v: build(v, a, b)[1].item(), w))
+    check_close(ta.grad, fd(lambda v: build(w, v, b)[1].item(), a))
+    check_close(tb.grad, fd(lambda v: build(w, a, v)[1].item(), b))
+    with pytest.raises(ContractViolation):
+        _mix(Tensor(w), [Tensor(a), Tensor(a)])
+    with pytest.raises(ContractViolation):
+        _mix(Tensor(w[:2]), [Tensor(a), Tensor(a[:1])])
+
+
 def test_getitem_repeated_indices_accumulate_gradient():
     a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     a[[0, 0, 1]].sum().backward()
@@ -217,6 +243,95 @@ def test_conv2d_strided_dilated_grouped_against_finite_differences():
     out.backward()
     check_close(xt.grad, fd(lambda v: make(v, w)[2].item(), x))
     check_close(wt.grad, fd(lambda v: make(x, v)[2].item(), w))
+
+
+def _einsum_conv2d(x, w, g, stride, padding, dilation, groups):
+    """The earlier einsum kernel, kept as the reference for the tap-loop
+    and im2col kernels: returns (out, dx, gweight) for upstream g."""
+    (sh, sw), (ph, pw), (dh, dw) = stride, padding, dilation
+    bsz, cin, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    ho = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
+    wo = (wd + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    s0, s1, s2, s3 = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (bsz, cin, kh, kw, ho, wo),
+        (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
+    cols = cols.reshape(bsz, groups, cg, kh, kw, ho, wo)
+    wg = w.reshape(groups, cout // groups, cg, kh, kw)
+    out = np.einsum("bgcijhw,gocij->bgohw", cols, wg, optimize=True)
+    gg = g.reshape(bsz, groups, cout // groups, ho, wo)
+    gweight = np.einsum("bgcijhw,bgohw->gocij", cols, gg, optimize=True)
+    dcols = np.einsum("gocij,bgohw->bgcijhw", wg, gg, optimize=True)
+    dcols = dcols.reshape(bsz, cin, kh, kw, ho, wo)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i * dh:i * dh + sh * ho:sh,
+                j * dw:j * dw + sw * wo:sw] += dcols[:, :, i, j]
+    return (out.reshape(bsz, cout, ho, wo), dxp[:, :, ph:ph + h, pw:pw + wd],
+            gweight.reshape(w.shape))
+
+
+CONV_CASES = {
+    # name: (input shape, weight shape, stride, padding, dilation, groups)
+    "dense 3x3": ((2, 4, 9, 9), (5, 4, 3, 3), (1, 1), (1, 1), (1, 1), 1),
+    "dilated 5x5 s2": ((2, 4, 12, 12), (4, 4, 5, 5), (2, 2), (4, 4), (2, 2), 1),
+    "depthwise 3x3 s1": ((2, 4, 9, 9), (4, 1, 3, 3), (1, 1), (1, 1), (1, 1), 4),
+    "depthwise 3x3 s2": ((2, 4, 9, 9), (4, 1, 3, 3), (2, 2), (1, 1), (1, 1), 4),
+    "depthwise 5x5 s1": ((2, 4, 9, 9), (4, 1, 5, 5), (1, 1), (2, 2), (1, 1), 4),
+    "depthwise 5x5 s2": ((2, 4, 9, 9), (4, 1, 5, 5), (2, 2), (2, 2), (1, 1), 4),
+    "pointwise": ((2, 4, 9, 9), (6, 4, 1, 1), (1, 1), (0, 0), (1, 1), 1),
+    "7x1 s(2,1)": ((2, 4, 12, 9), (4, 4, 7, 1), (2, 1), (3, 0), (1, 1), 1),
+    "1x7": ((2, 4, 9, 12), (4, 4, 1, 7), (1, 1), (0, 3), (1, 1), 1),
+    "baseline 1-channel 2x2 s2 p2": ((2, 1, 9, 8), (4, 1, 2, 2), (2, 2),
+                                     (2, 2), (1, 1), 1),
+    "groups 2, 2 channels each": ((2, 4, 9, 9), (6, 2, 3, 3), (1, 1), (1, 1),
+                                  (1, 1), 2),
+    # one input channel per group but two outputs: the GEMM path
+    "channel multiplier": ((2, 4, 9, 9), (8, 1, 3, 3), (1, 1), (1, 1),
+                           (1, 1), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(CONV_CASES))
+def test_conv2d_matches_the_einsum_reference(name):
+    xshape, wshape, stride, padding, dilation, groups = CONV_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x, w = rng.normal(size=xshape), rng.normal(size=wshape)
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, stride=stride, padding=padding, dilation=dilation,
+                 groups=groups)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    ref = _einsum_conv2d(x, w, g, stride, padding, dilation, groups)
+    for got, want in zip((out.data, xt.grad, wt.grad), ref):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["dense 3x3", "depthwise 5x5 s2"])
+def test_conv2d_computes_no_gradient_for_a_frozen_parent(name):
+    xshape, wshape, stride, padding, dilation, groups = CONV_CASES[name]
+    rng = np.random.default_rng(3)
+    x, w = rng.normal(size=xshape), rng.normal(size=wshape)
+    args = dict(stride=stride, padding=padding, dilation=dilation,
+                groups=groups)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    g = rng.normal(size=conv2d(xt, wt, **args).shape)
+    (conv2d(xt, wt, **args) * Tensor(g)).sum().backward()
+    for frozen in ("x", "w"):
+        fx = Tensor(x, requires_grad=frozen != "x")
+        fw = Tensor(w, requires_grad=frozen != "w")
+        out = conv2d(fx, fw, **args)
+        dx, gw = out._vjp(g)
+        assert (dx is None) == (frozen == "x") and (gw is None) == (frozen == "w")
+        (out * Tensor(g)).sum().backward()
+        live, kept = (fw, wt) if frozen == "x" else (fx, xt)
+        assert (fx if frozen == "x" else fw).grad is None
+        np.testing.assert_array_equal(live.grad, kept.grad)
 
 
 def _separated(rng, shape, gap=0.01):
