@@ -1,5 +1,8 @@
 """From a waveform to the (128, 128) input the networks consume."""
 
+import os
+import tempfile
+
 import numpy as np
 
 from emodarts.features import (CLIP_SAMPLES, SAMPLE_RATE, mfcc,
@@ -30,7 +33,8 @@ def main():
     print("synthetic corpus:", ds.features.shape, "classes:", ds.class_names)
 
     # storage quantizes features to float32, labels survive exactly
-    path = "/tmp/demo_corpus.edset"
+    path = os.path.join(tempfile.mkdtemp(prefix="emodarts_demo_"),
+                        "corpus.edset")
     save_edset(ds, path)
     back = load_edset(path)
     print("edset round trip ok:",

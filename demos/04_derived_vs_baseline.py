@@ -1,6 +1,9 @@
 """Instantiate a searched genome with fresh weights, train it, and put
 the result next to a fixed convolutional baseline on the same fold."""
 
+import os
+import tempfile
+
 import numpy as np
 
 from emodarts.config import SearchConfig
@@ -40,8 +43,10 @@ def main():
     print(f"baseline: ua {ua_b:5.1f}  wa {wa_b:5.1f}  "
           f"params {count_params(base)}")
 
-    save_checkpoint(model, "/tmp/demo_model.ckpt")
-    again, _, _, _ = load_checkpoint("/tmp/demo_model.ckpt")
+    path = os.path.join(tempfile.mkdtemp(prefix="emodarts_demo_"),
+                        "model.ckpt")
+    save_checkpoint(model, path)
+    again, _, _, _ = load_checkpoint(path)
     same = evaluate(again, ds.split(fold.test_idx)) == (ua_m, wa_m)
     print("checkpoint restores the exact model:", same)
 

@@ -6,6 +6,9 @@ never saw. The scatter table is what goes into a params-vs-accuracy
 plot.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from emodarts.config import SearchConfig
@@ -38,9 +41,10 @@ def main():
         print(f"{s['scope']:12s} mean ua {s['mean_ua']:5.1f} "
               f"+- {s['std_ua']:4.1f}  params {s['params']:.0f}")
 
-    write_results_csv(results, "/tmp/demo_results.csv")
-    write_scatter_csv(scatter, "/tmp/demo_scatter.csv")
-    print("\nwrote /tmp/demo_results.csv and /tmp/demo_scatter.csv")
+    root = tempfile.mkdtemp(prefix="emodarts_demo_")
+    write_results_csv(results, os.path.join(root, "results.csv"))
+    write_scatter_csv(scatter, os.path.join(root, "scatter.csv"))
+    print("\nwrote results.csv and scatter.csv under", root)
     print("available scopes:", STUDY_SCOPES)
     print("available baselines:", BASELINE_KINDS)
 

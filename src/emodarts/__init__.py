@@ -12,9 +12,9 @@ end (cli). Every file write goes through one module (artifacts).
 from .errors import (ContractViolation, DataError, EmodartsError,
                      GraphReuseError, NumericFault)
 from .tensor import (Tensor, as_tensor, avg_pool2d, batch_norm, concat,
-                     conv2d, cross_entropy, dropout, exp, finite_diff_grad,
-                     log, log_softmax, max_pool2d, relu, sigmoid, softmax,
-                     stack, tanh)
+                     conv2d, cross_entropy, dropout, finite_diff_grad,
+                     log_softmax, max_pool2d, relu, sigmoid, softmax, stack,
+                     tanh)
 from .optim import SGD, Adam, CosineSchedule, clip_grad_norm, cosine_lr
 from .ops import CNN_OPS, SEQNN_OPS, Module, count_params
 from .cell import Cell, MixedEdge, augment_scope, discretize_edge, num_edges

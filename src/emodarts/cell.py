@@ -21,7 +21,8 @@ import numpy as np
 
 from .artifacts import is_int
 from .errors import ContractViolation
-from .ops import PASSIVE_OPS, Module, build_cnn_op, build_seq_op
+from .ops import (PASSIVE_OPS, Module, build_cnn_op, build_seq_op,
+                  run_candidates)
 from .tensor import Tensor, _mix, concat, softmax
 
 __all__ = ["MixedEdge", "Cell", "eval_cell", "num_edges", "augment_scope",
@@ -127,7 +128,9 @@ def eval_cell(kind: str, inputs: list[Tensor], edges, edge) -> Tensor:
 
 
 class MixedEdge(Module):
-    """All candidates of one edge; forward mixes them with softmax weights."""
+    """All candidates of one edge; forward mixes them with softmax weights.
+    The recurrent candidates of a SeqNN edge run in lockstep
+    (ops.run_candidates)."""
 
     def __init__(self, ops: list[Module]):
         self.ops = ops
@@ -136,7 +139,7 @@ class MixedEdge(Module):
         if alpha.shape != (len(self.ops),):
             raise ContractViolation(
                 f"edge got {len(self.ops)} candidates but alpha {alpha.shape}")
-        return _mix(softmax(alpha, axis=0), [op(x) for op in self.ops])
+        return _mix(softmax(alpha, axis=0), run_candidates(self.ops, x))
 
 
 class Cell(Module):

@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ContractViolation
 from .tensor import (Tensor, _out_size, avg_pool2d, batch_norm, conv2d,
-                     max_pool2d, relu, softmax, tanh)
+                     max_pool2d, relu, softmax, stack, tanh)
 
 __all__ = [
     "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear",
     "AdditiveAttention", "rnn_seq", "lstm_seq", "build_cnn_op",
-    "build_seq_op", "count_params", "PASSIVE_OPS",
+    "build_seq_op", "count_params", "PASSIVE_OPS", "run_candidates",
 ]
 
 _CNN_TABLE = {
@@ -253,103 +253,146 @@ def kernel_pad(kernel: int, dilation: int = 1) -> int:
 
 # ---- SeqNN candidate ops ----
 
-def rnn_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Unidirectional tanh recurrence over (B, T, F) with combined
-    input+state weight (F+H, H). Backward runs hand-written truncation-free
-    backpropagation through time in one graph node."""
+def _recurrence(name: str, gates: int, loop, x: Tensor, w: Tensor,
+                b: Tensor) -> Tensor:
+    """The frame both recurrences share. w is (K, F+H, G*H) and b (K, G*H)
+    for K layers run in lockstep; x is (B, T, F), shared by all K, or
+    (K, B, T, F); the output is (K, B, T, H). A 2-D w and 1-D b are the
+    single-layer case, with output (B, T, H).
+
+    The input projection x @ W_x + b runs as one GEMM over all steps
+    before the cell's time loop, and dx, dW and db as GEMMs after it, all
+    over rows in (t, b) order. `loop(xz, wh)` gets the projection
+    (K, T, B, G*H) and the state weights (K, H, G*H), and returns the
+    output and back(g), which maps the output's gradient, made time-major
+    (T, K, B, H), to the one at the gate pre-activations (K, T, B, G*H).
+    Only parents with requires_grad get a gradient."""
     xd, wd, bd = x.data, w.data, b.data
-    bsz, tlen, feat = xd.shape
-    hid = wd.shape[1]
-    if wd.shape[0] != feat + hid:
+    single = wd.ndim == 2
+    if single:
+        wd, bd = wd[None], bd[None]
+    shared = xd.ndim == 3
+    fits = (wd.ndim == 3 and bd.shape == (wd.shape[0], wd.shape[2])
+            and (shared or (xd.ndim == 4 and not single
+                            and xd.shape[0] == wd.shape[0])))
+    if fits:
+        k, rows, cols = wd.shape
+        hid, feat = cols // gates, xd.shape[-1]
+        fits = hid > 0 and cols == gates * hid and rows == feat + hid
+    if not fits:
         raise ContractViolation(
-            f"rnn_seq weight {wd.shape} does not match input width {feat}")
-    hs = np.zeros((bsz, tlen, hid))
-    cats = np.empty((bsz, tlen, feat + hid))
-    h = np.zeros((bsz, hid))
-    for t in range(tlen):
-        cat = np.concatenate([xd[:, t], h], axis=1)
-        cats[:, t] = cat
-        h = np.tanh(cat @ wd + bd)
-        hs[:, t] = h
+            f"{name} weight {w.shape} and bias {b.shape} do not match "
+            f"input {x.shape}")
+    bsz, tlen = xd.shape[-3:-1]
+    x2 = np.swapaxes(xd, -3, -2).reshape(*xd.shape[:-3], tlen * bsz, feat)
+    wx, wh = wd[:, :feat], np.ascontiguousarray(wd[:, feat:])
+    xz = x2 @ wx
+    xz += bd[:, None]
+    hs, back = loop(xz.reshape(k, tlen, bsz, cols), wh)
 
     def vjp(g):
-        dx = np.zeros_like(xd)
-        dw = np.zeros_like(wd)
-        db = np.zeros_like(bd)
-        dh = np.zeros((bsz, hid))
-        for t in range(tlen - 1, -1, -1):
-            dz = (g[:, t] + dh) * (1.0 - hs[:, t] ** 2)
-            dw += cats[:, t].T @ dz
-            db += dz.sum(axis=0)
-            dcat = dz @ wd.T
-            dx[:, t] = dcat[:, :feat]
-            dh = dcat[:, feat:]
+        g = g[None] if single else g
+        dz = back(np.ascontiguousarray(g.transpose(2, 0, 1, 3)))
+        dz = dz.reshape(k, tlen * bsz, cols)
+        dx = dw = db = None
+        if x.requires_grad:
+            dx = dz @ wx.transpose(0, 2, 1)
+            dx = (dx.sum(axis=0) if shared else dx).reshape(
+                *xd.shape[:-3], tlen, bsz, feat)
+            dx = np.swapaxes(dx, -3, -2)
+        if w.requires_grad:
+            dw = np.empty((k, rows, cols))
+            dw[:, :feat] = np.swapaxes(x2, -1, -2) @ dz
+            # h_{t-1} meets dz_t; h_{-1} = 0
+            hprev = np.ascontiguousarray(hs[:, :, :-1].swapaxes(1, 2))
+            dw[:, feat:] = (hprev.reshape(k, -1, hid).transpose(0, 2, 1)
+                            @ dz[:, bsz:])
+            dw = dw.reshape(w.shape)
+        if b.requires_grad:
+            db = dz.sum(axis=1).reshape(b.shape)
         return dx, dw, db
 
-    return Tensor._make(hs, (x, w, b), vjp)
+    return Tensor._make(hs[0] if single else hs, (x, w, b), vjp)
+
+
+def _rnn_loop(xz, wh):
+    # h_t = tanh(z_t); hs is the (K, B, T, H) output
+    k, tlen, bsz, hid = xz.shape
+    hs = np.empty((k, bsz, tlen, hid))
+    for t in range(tlen):
+        z = xz[:, t] + hs[:, :, t - 1] @ wh if t else xz[:, 0]
+        np.tanh(z, out=hs[:, :, t])
+
+    def back(g):
+        whT = wh.transpose(0, 2, 1)
+        dz = np.empty((k, tlen, bsz, hid))
+        dh = np.zeros((k, bsz, hid))
+        for t in range(tlen - 1, -1, -1):
+            h = hs[:, :, t]
+            dh = np.multiply(1.0 - h * h, g[t] + dh, out=dz[:, t]) @ whT
+        return dz
+
+    return hs, back
+
+
+def _lstm_loop(xz, wh):
+    # gate order input, forget, cell, output; zero initial state; hs is
+    # the (K, B, T, H) output. Gate values and cell states are kept
+    # time-major, so that backward reads one contiguous block per step.
+    k, tlen, bsz, cols = xz.shape
+    hid = cols // 4
+    cell = slice(2 * hid, 3 * hid)
+    acts = np.empty((tlen, k, bsz, cols))      # gate values
+    cs = np.empty((tlen, k, bsz, hid))
+    tcs = np.empty_like(cs)
+    hs = np.empty((k, bsz, tlen, hid))
+    c = np.zeros((k, bsz, hid))
+    for t in range(tlen):
+        a = np.add(xz[:, t], hs[:, :, t - 1] @ wh if t else 0.0, out=acts[t])
+        gc = np.tanh(a[..., cell])
+        a[:] = 1.0 / (1.0 + np.exp(-a))     # one sigmoid over all gates
+        a[..., cell] = gc
+        c = np.add(a[..., hid:2 * hid] * c, a[..., :hid] * gc, out=cs[t])
+        np.multiply(a[..., 3 * hid:], np.tanh(c, out=tcs[t]), out=hs[:, :, t])
+
+    def back(g):
+        whT = wh.transpose(0, 2, 1)
+        dz = np.empty((k, tlen, bsz, cols))
+        d = np.empty((k, bsz, cols))
+        dh = np.zeros((k, bsz, hid))
+        dc = np.zeros((k, bsz, hid))
+        for t in range(tlen - 1, -1, -1):
+            a, tc = acts[t], tcs[t]
+            gi, gf, gc, go = (a[..., n * hid:(n + 1) * hid] for n in range(4))
+            dht = g[t] + dh
+            dc += dht * go * (1.0 - tc * tc)
+            # each gate's gradient at its activation, then through it
+            np.multiply(dc, gc, out=d[..., :hid])
+            np.multiply(dc, cs[t - 1] if t else 0.0, out=d[..., hid:2 * hid])
+            np.multiply(dc, gi, out=d[..., cell])
+            np.multiply(dht, tc, out=d[..., 3 * hid:])
+            slope = a * (1.0 - a)
+            slope[..., cell] = 1.0 - gc * gc
+            dh = np.multiply(d, slope, out=dz[:, t]) @ whT
+            dc *= gf
+        return dz
+
+    return hs, back
+
+
+def rnn_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Unidirectional tanh recurrence with combined input+state weight
+    (F+H, H) and bias (H,), or K of them in lockstep (see _recurrence).
+    Backward is truncation-free backpropagation through time in one graph
+    node."""
+    return _recurrence("rnn_seq", 1, _rnn_loop, x, w, b)
 
 
 def lstm_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Unidirectional LSTM over (B, T, F). Combined weight (F+H, 4H) and a
-    single combined bias (4H,), gate order input, forget, cell, output."""
-    xd, wd, bd = x.data, w.data, b.data
-    bsz, tlen, feat = xd.shape
-    hid = wd.shape[1] // 4
-    if wd.shape[0] != feat + hid or wd.shape[1] != 4 * hid:
-        raise ContractViolation(
-            f"lstm_seq weight {wd.shape} does not match input width {feat}")
-
-    def sig(z):
-        return 1.0 / (1.0 + np.exp(-z))
-
-    cats = np.empty((bsz, tlen, feat + hid))
-    gi = np.empty((bsz, tlen, hid))
-    gf = np.empty((bsz, tlen, hid))
-    gc = np.empty((bsz, tlen, hid))
-    go = np.empty((bsz, tlen, hid))
-    cs = np.zeros((bsz, tlen, hid))
-    tcs = np.empty((bsz, tlen, hid))
-    hs = np.zeros((bsz, tlen, hid))
-    h = np.zeros((bsz, hid))
-    c = np.zeros((bsz, hid))
-    for t in range(tlen):
-        cat = np.concatenate([xd[:, t], h], axis=1)
-        cats[:, t] = cat
-        z = cat @ wd + bd
-        gi[:, t] = sig(z[:, :hid])
-        gf[:, t] = sig(z[:, hid:2 * hid])
-        gc[:, t] = np.tanh(z[:, 2 * hid:3 * hid])
-        go[:, t] = sig(z[:, 3 * hid:])
-        c = gf[:, t] * c + gi[:, t] * gc[:, t]
-        cs[:, t] = c
-        tcs[:, t] = np.tanh(c)
-        h = go[:, t] * tcs[:, t]
-        hs[:, t] = h
-
-    def vjp(g):
-        dx = np.zeros_like(xd)
-        dw = np.zeros_like(wd)
-        db = np.zeros_like(bd)
-        dh = np.zeros((bsz, hid))
-        dc = np.zeros((bsz, hid))
-        dz = np.empty((bsz, 4 * hid))
-        for t in range(tlen - 1, -1, -1):
-            dht = g[:, t] + dh
-            c_prev = cs[:, t - 1] if t > 0 else np.zeros((bsz, hid))
-            dct = dc + dht * go[:, t] * (1.0 - tcs[:, t] ** 2)
-            dz[:, :hid] = dct * gc[:, t] * gi[:, t] * (1.0 - gi[:, t])
-            dz[:, hid:2 * hid] = dct * c_prev * gf[:, t] * (1.0 - gf[:, t])
-            dz[:, 2 * hid:3 * hid] = dct * gi[:, t] * (1.0 - gc[:, t] ** 2)
-            dz[:, 3 * hid:] = dht * tcs[:, t] * go[:, t] * (1.0 - go[:, t])
-            dc = dct * gf[:, t]
-            dw += cats[:, t].T @ dz
-            db += dz.sum(axis=0)
-            dcat = dz @ wd.T
-            dx[:, t] = dcat[:, :feat]
-            dh = dcat[:, feat:]
-        return dx, dw, db
-
-    return Tensor._make(hs, (x, w, b), vjp)
+    """Unidirectional LSTM with combined weight (F+H, 4H) and a single
+    combined bias (4H,), gate order input, forget, cell, output, or K of
+    them in lockstep (see _recurrence)."""
+    return _recurrence("lstm_seq", 4, _lstm_loop, x, w, b)
 
 
 class RNNLayer(Module):
@@ -394,6 +437,7 @@ class RecurrentStack(Module):
 
     def __init__(self, cell: str, depth: int, feat: int, hidden: int,
                  rng: np.random.Generator, attention: bool):
+        self.cell = cell
         layer = LSTMLayer if cell == "lstm" else RNNLayer
         self.layers = [layer(feat if i == 0 else hidden, hidden, rng)
                        for i in range(depth)]
@@ -402,9 +446,36 @@ class RecurrentStack(Module):
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
             x = layer(x)
-        if self.attention is not None:
-            x = self.attention(x)
-        return x
+        return self.top(x)
+
+    def top(self, x: Tensor) -> Tensor:
+        """What follows the last recurrent layer: attention, if any."""
+        return x if self.attention is None else self.attention(x)
+
+
+def run_candidates(ops, x: Tensor) -> list[Tensor]:
+    """[op(x) for op in ops], except that the RecurrentStacks of one cell
+    type run in lockstep: layer l of every stack at least l+1 deep is one
+    recurrence node over the stacked layer-l weights. Stacks go deepest
+    first, so layer l+1's input is a prefix of layer l's output."""
+    outs = {}
+    for cell, kernel in (("lstm", lstm_seq), ("rnn", rnn_seq)):
+        live = sorted((k for k, op in enumerate(ops)
+                       if isinstance(op, RecurrentStack) and op.cell == cell),
+                      key=lambda k: -len(ops[k].layers))
+        h, depth = x, 0
+        while live:
+            layers = [ops[k].layers[depth] for k in live]
+            h = kernel(h, stack([layer.weight for layer in layers]),
+                       stack([layer.bias for layer in layers]))
+            depth += 1
+            for pos, k in enumerate(live):
+                if len(ops[k].layers) == depth:
+                    outs[k] = ops[k].top(h[pos])
+            live = [k for k in live if len(ops[k].layers) > depth]
+            if len(live) < h.shape[0]:
+                h = h[:len(live)]
+    return [outs[k] if k in outs else op(x) for k, op in enumerate(ops)]
 
 
 class SeqIdentity(Module):

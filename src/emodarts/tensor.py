@@ -20,7 +20,7 @@ from .errors import ContractViolation, GraphReuseError
 
 __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "relu", "tanh", "sigmoid",
-    "exp", "log", "softmax", "log_softmax", "cross_entropy", "dropout",
+    "softmax", "log_softmax", "cross_entropy", "dropout",
     "conv2d", "max_pool2d", "avg_pool2d", "batch_norm", "finite_diff_grad",
 ]
 
@@ -73,9 +73,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -149,9 +146,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         a, b = self, as_tensor(other)
         return Tensor._make(
@@ -168,9 +162,6 @@ class Tensor:
             lambda g: (_unbroadcast(g / b.data, a.data.shape),
                        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
     def __pow__(self, p: float):
         if not isinstance(p, (int, float)):
             raise ContractViolation("only scalar exponents are supported")
@@ -183,15 +174,21 @@ class Tensor:
         out = a.data @ b.data
 
         def vjp(g):
-            # lift a 1-D operand to a matrix as numpy does; drop the axis after
+            # lift a 1-D operand to a matrix as numpy does; drop the axis
+            # after. Only an operand with requires_grad gets a gradient.
             ad, bd = a.data, b.data
             if bd.ndim == 1:
                 bd, g = bd[:, None], g[..., None]
             if ad.ndim == 1:
                 ad, g = ad[None], g[..., None, :]
-            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-            return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
+            ga = gb = None
+            if a.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2),
+                                  ad.shape).reshape(a.data.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g,
+                                  bd.shape).reshape(b.data.shape)
+            return ga, gb
 
         return Tensor._make(out, (a, b), vjp)
 
@@ -331,17 +328,6 @@ def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out = 1.0 / (1.0 + np.exp(-x.data))
     return Tensor._make(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(x.data)
-    return Tensor._make(out, (x,), lambda g: (g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    return Tensor._make(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -221,3 +221,147 @@ def test_linear_applies_bias():
     lin = Linear(3, 2, RNG(11))
     x = Tensor(np.zeros((4, 3)))
     np.testing.assert_allclose(lin(x).data, np.broadcast_to(lin.bias.data, (4, 2)))
+
+
+# ---- the lockstep recurrence kernel ----
+
+def _sig(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _reference_recurrence(cell, x, w, b):
+    """Per candidate, per step: the textbook recurrence in plain numpy."""
+    k, rows, cols = w.shape
+    hid = cols // (4 if cell == "lstm" else 1)
+    feat = rows - hid
+    outs = []
+    for j in range(k):
+        xj = x if x.ndim == 3 else x[j]
+        h = np.zeros((xj.shape[0], hid))
+        c = np.zeros_like(h)
+        steps = []
+        for t in range(xj.shape[1]):
+            z = xj[:, t] @ w[j, :feat] + h @ w[j, feat:] + b[j]
+            if cell == "lstm":
+                i, f = _sig(z[:, :hid]), _sig(z[:, hid:2 * hid])
+                g, o = np.tanh(z[:, 2 * hid:3 * hid]), _sig(z[:, 3 * hid:])
+                c = f * c + i * g
+                h = o * np.tanh(c)
+            else:
+                h = np.tanh(z)
+            steps.append(h)
+        outs.append(np.stack(steps, axis=1))
+    return np.stack(outs)
+
+
+KERNELS = {"lstm": (lstm_seq, 4), "rnn": (rnn_seq, 1)}
+LOCKSTEP_CASES = [(cell, k, shared) for cell in KERNELS for k in (1, 2, 3)
+                  for shared in (True, False)]
+
+
+def _lockstep_inputs(cell, k, shared, seed, bsz=2, tlen=4, feat=3, hid=2):
+    rng = RNG(seed)
+    gates = KERNELS[cell][1]
+    x = rng.normal(size=(bsz, tlen, feat) if shared else (k, bsz, tlen, feat))
+    w = rng.normal(size=(k, feat + hid, gates * hid)) * 0.5
+    b = rng.normal(size=(k, gates * hid)) * 0.2
+    return x, w, b
+
+
+@pytest.mark.parametrize("cell,k,shared", LOCKSTEP_CASES)
+def test_lockstep_kernel_matches_the_per_step_reference(cell, k, shared):
+    x, w, b = _lockstep_inputs(cell, k, shared, seed=20 + k,
+                               bsz=3, tlen=7, feat=5, hid=4)
+    out = KERNELS[cell][0](Tensor(x), Tensor(w), Tensor(b)).data
+    ref = _reference_recurrence(cell, x, w, b)
+    assert out.shape == ref.shape == (k, 3, 7, 4)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cell,k,shared", LOCKSTEP_CASES)
+def test_lockstep_kernel_gradients_match_oracle(cell, k, shared):
+    fn = KERNELS[cell][0]
+    x0, w0, b0 = _lockstep_inputs(cell, k, shared, seed=30 + k)
+    g = RNG(40 + k).normal(size=(k, 2, 4, 2))
+
+    def loss(xv, wv, bv, grad=False):
+        ts = [Tensor(v, requires_grad=grad) for v in (xv, wv, bv)]
+        out = (fn(*ts) * Tensor(g)).sum()
+        return ts, out
+
+    ts, out = loss(x0, w0, b0, grad=True)
+    out.backward()
+    for pos, arr in enumerate((x0, w0, b0)):
+        def f(v, pos=pos):
+            args = [v if i == pos else a for i, a in enumerate((x0, w0, b0))]
+            return loss(*args)[1].item()
+        fd = finite_diff_grad(f, arr.copy(), eps=1e-5)
+        np.testing.assert_allclose(ts[pos].grad, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("cell,k,shared", LOCKSTEP_CASES)
+def test_lockstep_kernel_skips_gradients_of_frozen_weights(cell, k, shared):
+    fn = KERNELS[cell][0]
+    x, w, b = _lockstep_inputs(cell, k, shared, seed=50 + k)
+    g = RNG(60 + k).normal(size=(k, 2, 4, 2))
+    live = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    (fn(*live) * Tensor(g)).sum().backward()
+    xt = Tensor(x, requires_grad=True)
+    wt, bt = Tensor(w), Tensor(b)
+    out = fn(xt, wt, bt)
+    dx, dw, db = out._vjp(g)
+    assert dw is None and db is None
+    (out * Tensor(g)).sum().backward()
+    assert wt.grad is None and bt.grad is None
+    np.testing.assert_array_equal(xt.grad, live[0].grad)
+    np.testing.assert_array_equal(dx, live[0].grad)
+
+
+def test_single_layer_call_is_the_k1_case():
+    x, w, b = _lockstep_inputs("lstm", 1, True, seed=70)
+    single = lstm_seq(Tensor(x), Tensor(w[0]), Tensor(b[0])).data
+    np.testing.assert_array_equal(
+        single, lstm_seq(Tensor(x), Tensor(w), Tensor(b)).data[0])
+
+
+def test_lockstep_kernel_rejects_mismatched_shapes():
+    x, w, b = _lockstep_inputs("rnn", 2, False, seed=71)
+    bad = [(x[:1], w, b),          # one input for two layers
+           (x, w, b[:1]),          # one bias for two layers
+           (x, w[:, 1:], b),       # rows != F + H
+           (x, w[0], b[0])]        # one layer given per-layer inputs
+    for args in bad:
+        with pytest.raises(ContractViolation):
+            rnn_seq(*map(Tensor, args))
+    with pytest.raises(ContractViolation):   # not four gate blocks
+        lstm_seq(Tensor(x), Tensor(w), Tensor(b))
+
+
+def test_full_scope_edge_in_lockstep_matches_the_per_candidate_sum():
+    from emodarts.cell import MixedEdge, augment_scope
+    from emodarts.tensor import _mix, softmax
+
+    rng = RNG(72)
+    scope = augment_scope(SEQNN_OPS)
+    edge = MixedEdge([build_seq_op(n, 6, 6, rng) for n in scope])
+    x0 = rng.normal(size=(3, 5, 6))
+    a0 = rng.normal(size=len(scope))
+    g = rng.normal(size=(3, 5, 6))
+
+    def run(forward):
+        for p in edge.params():
+            p.grad = None
+        x = Tensor(x0, requires_grad=True)
+        alpha = Tensor(a0, requires_grad=True)
+        out = forward(x, alpha)
+        (out * Tensor(g)).sum().backward()
+        return [out.data, x.grad, alpha.grad] + [p.grad for p in edge.params()]
+
+    lockstep = run(edge)
+    apart = run(lambda x, alpha: _mix(softmax(alpha, axis=0),
+                                      [op(x) for op in edge.ops]))
+    assert len(lockstep) == 3 + len(edge.params())
+    for got, want in zip(lockstep, apart):
+        assert got is not None and want is not None
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)

@@ -334,6 +334,27 @@ def test_conv2d_computes_no_gradient_for_a_frozen_parent(name):
         np.testing.assert_array_equal(live.grad, kept.grad)
 
 
+@pytest.mark.parametrize("shapes", [((4, 5), (5, 3)), ((2, 4, 5), (5, 3)),
+                                    ((5,), (5, 3)), ((4, 5), (5,))],
+                         ids=["matrix", "batched", "vector-left", "vector-right"])
+def test_matmul_computes_no_gradient_for_a_frozen_parent(shapes):
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    g = rng.normal(size=(at @ bt).shape)
+    ((at @ bt) * Tensor(g)).sum().backward()
+    for frozen in ("a", "b"):
+        fa = Tensor(a, requires_grad=frozen != "a")
+        fb = Tensor(b, requires_grad=frozen != "b")
+        out = fa @ fb
+        ga, gb = out._vjp(g)
+        assert (ga is None) == (frozen == "a") and (gb is None) == (frozen == "b")
+        (out * Tensor(g)).sum().backward()
+        live, kept = (fb, bt) if frozen == "a" else (fa, at)
+        assert (fa if frozen == "a" else fb).grad is None
+        np.testing.assert_array_equal(live.grad, kept.grad)
+
+
 def _separated(rng, shape, gap=0.01):
     # values pairwise separated by >= gap, so pooling argmaxes cannot flip
     # under the finite-difference probe
