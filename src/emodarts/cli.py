@@ -80,14 +80,22 @@ def _dims(text: str):
     return h, w
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive value, got {v}")
-    return v
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {v}")
+        return v
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="command")
 
     def common(p, config=True):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed_int, default=None,
                        help="rng seed (falls back to EMODARTS_SEED, then 0)")
         if config:
             p.add_argument("--config", default=None,
@@ -122,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with columns file,label,speaker; file paths "
                         "resolve relative to the CSV")
     p.add_argument("--out", required=True)
-    common(p, config=False)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("search", help="search a dataset, write a genome")
@@ -198,9 +205,9 @@ def _seed_opt(args) -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise DataError(f"EMODARTS_SEED is not an integer: {raw!r}")
+        return _seed_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise DataError(f"EMODARTS_SEED: {exc}")
 
 
 def _load_config(path, overrides: dict) -> SearchConfig:
@@ -434,6 +441,9 @@ def _cmd_replay(args, argv):
             and all(isinstance(v, str) for v in outputs + old_argv)):
         raise DataError("manifest records no outputs, or an argv or outputs "
                         "entry that is not a string")
+    if old_argv[:1] != [doc["command"]] or doc["command"] == "replay":
+        raise DataError(f"manifest argv does not run its recorded command "
+                        f"{doc['command']!r}, or runs replay")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     mapping = {outputs[0]: args.out}
     for extra in outputs[1:]:

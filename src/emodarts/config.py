@@ -58,6 +58,8 @@ class SearchConfig:
             raise ContractViolation("epochs and batch_size must be positive")
         if not (0.0 <= self.dropout < 1.0) or self.grad_clip < 0.0:
             raise ContractViolation("dropout in [0, 1), grad_clip >= 0")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         allowed = set(SEQNN_OPS) | set(PASSIVE_OPS)
         bad = [s for s in self.seq_scope if s not in allowed]
         if bad or not self.seq_scope:

@@ -31,8 +31,8 @@ from .errors import ContractViolation, NumericFault
 from .features import Dataset
 from .genome import Genome, detect_degenerate, extract_genome
 from .metrics import ua, wa
-from .ops import (SEQNN_OPS, AdditiveAttention, Linear, LSTMLayer, Module,
-                  _uniform, count_params)
+from .ops import (SEQNN_OPS, AdditiveAttention, Linear, Module,
+                  RecurrentLayer, _uniform, count_params)
 from .search import search
 from .supernet import build_supernet, flatten_bridge
 from .tensor import (Tensor, _out_size, concat, conv2d, dropout, max_pool2d,
@@ -165,8 +165,8 @@ class Baseline(Module):
         if kind == "cnn":
             flat = ch * h * w
         else:
-            self.fwd = LSTMLayer(ch * w, config.baseline_lstm, rng)
-            self.bwd = LSTMLayer(ch * w, config.baseline_lstm, rng)
+            self.fwd = RecurrentLayer("lstm", ch * w, config.baseline_lstm, rng)
+            self.bwd = RecurrentLayer("lstm", ch * w, config.baseline_lstm, rng)
             flat = 2 * config.baseline_lstm
             if kind == "cnn_lstm_att":
                 self.att = AdditiveAttention(flat, rng)

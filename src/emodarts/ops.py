@@ -15,20 +15,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import (Tensor, _out_size, avg_pool2d, batch_norm, conv2d,
-                     max_pool2d, relu, softmax, stack, tanh)
+from .tensor import (Tensor, avg_pool2d, batch_norm, conv2d, max_pool2d,
+                     relu, softmax, stack, tanh)
 
 __all__ = [
-    "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear",
-    "AdditiveAttention", "rnn_seq", "lstm_seq", "build_cnn_op",
-    "build_seq_op", "count_params", "PASSIVE_OPS", "run_candidates",
+    "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear", "ReLUConvNorm",
+    "RecurrentLayer", "AdditiveAttention", "rnn_seq", "lstm_seq",
+    "build_cnn_op", "build_seq_op", "count_params", "PASSIVE_OPS",
+    "run_candidates",
 ]
 
 _CNN_TABLE = {
     "max_pool_3x3": lambda c, s, rng, affine: _PoolOp("max", s),
     "avg_pool_3x3": lambda c, s, rng, affine: _PoolOp("avg", s),
-    "dil_conv_3x3": lambda c, s, rng, affine: DilConv(c, 3, s, rng, affine),
-    "dil_conv_5x5": lambda c, s, rng, affine: DilConv(c, 5, s, rng, affine),
+    "dil_conv_3x3": lambda c, s, rng, affine: ReLUConvNorm(
+        c, c, rng, affine, kernel=3, stride=s, dilation=2),
+    "dil_conv_5x5": lambda c, s, rng, affine: ReLUConvNorm(
+        c, c, rng, affine, kernel=5, stride=s, dilation=2),
     "sep_conv_3x3": lambda c, s, rng, affine: SepConv(c, 3, s, rng, affine),
     "sep_conv_5x5": lambda c, s, rng, affine: SepConv(c, 5, s, rng, affine),
     "conv_7x1_1x7": lambda c, s, rng, affine: Conv7x1_1x7(c, s, rng, affine),
@@ -161,20 +164,23 @@ class _PoolOp(Module):
         return pool(x, kernel=3, stride=self.stride, padding=1)
 
 
-class DilConv(Module):
-    """ReLU, dense kxk convolution with dilation 2, norm."""
+class ReLUConvNorm(Module):
+    """ReLU, dense kxk convolution, norm: a dil_conv candidate (dilation 2)
+    or, at the defaults, a cell's 1x1 projection adapter."""
 
-    def __init__(self, channels: int, kernel: int, stride: int,
-                 rng: np.random.Generator, affine: bool):
-        self.kernel = kernel
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
+                 affine: bool, kernel: int = 1, stride: int = 1,
+                 dilation: int = 1):
         self.stride = stride
-        self.weight = _uniform(rng, (channels, channels, kernel, kernel),
-                               channels * kernel * kernel)
-        self.norm = BatchNorm2d(channels, affine)
+        self.dilation = dilation
+        self.pad = kernel_pad(kernel, dilation)
+        self.weight = _uniform(rng, (cout, cin, kernel, kernel),
+                               cin * kernel * kernel)
+        self.norm = BatchNorm2d(cout, affine)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = conv2d(relu(x), self.weight, stride=self.stride,
-                   padding=kernel_pad(self.kernel, dilation=2), dilation=2)
+        h = conv2d(relu(x), self.weight, stride=self.stride, padding=self.pad,
+                   dilation=self.dilation)
         return self.norm(h)
 
 
@@ -222,8 +228,8 @@ class Conv7x1_1x7(Module):
 
 
 class SkipConnect(Module):
-    """Identity; on a reduction edge it subsamples every second row and
-    column, keeping the op parameter-free."""
+    """Identity (also the SeqNN skip_connect); on a reduction edge it
+    subsamples every second row and column, keeping the op parameter-free."""
 
     def __init__(self, stride: int):
         self.stride = stride
@@ -235,15 +241,15 @@ class SkipConnect(Module):
 
 
 class NoneOp(Module):
-    """Constant zeros of the post-stride shape; gradients stop here."""
+    """Constant zeros of the post-stride shape, striding the last two axes
+    (also the SeqNN none); gradients stop here."""
 
     def __init__(self, stride: int):
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        b, c, h, w = x.shape
         s = self.stride
-        return Tensor(np.zeros((b, c, _out_size(h, 1, s), _out_size(w, 1, s))))
+        return Tensor(np.zeros(x.data[..., ::s, ::s].shape))
 
 
 def kernel_pad(kernel: int, dilation: int = 1) -> int:
@@ -253,12 +259,11 @@ def kernel_pad(kernel: int, dilation: int = 1) -> int:
 
 # ---- SeqNN candidate ops ----
 
-def _recurrence(name: str, gates: int, loop, x: Tensor, w: Tensor,
-                b: Tensor) -> Tensor:
-    """The frame both recurrences share. w is (K, F+H, G*H) and b (K, G*H)
-    for K layers run in lockstep; x is (B, T, F), shared by all K, or
-    (K, B, T, F); the output is (K, B, T, H). A 2-D w and 1-D b are the
-    single-layer case, with output (B, T, H).
+def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The frame both recurrences share; `cell` keys _RECURRENT_TABLE.
+    w is (K, F+H, G*H) and b (K, G*H) for K layers in lockstep; x is
+    (B, T, F), shared by all K, or (K, B, T, F); the output (K, B, T, H).
+    A 2-D w and 1-D b are the single-layer case, output (B, T, H).
 
     The input projection x @ W_x + b runs as one GEMM over all steps
     before the cell's time loop, and dx, dW and db as GEMMs after it, all
@@ -267,6 +272,7 @@ def _recurrence(name: str, gates: int, loop, x: Tensor, w: Tensor,
     output and back(g), which maps the output's gradient, made time-major
     (T, K, B, H), to the one at the gate pre-activations (K, T, B, G*H).
     Only parents with requires_grad get a gradient."""
+    gates, loop = _RECURRENT_TABLE[cell]
     xd, wd, bd = x.data, w.data, b.data
     single = wd.ndim == 2
     if single:
@@ -281,7 +287,7 @@ def _recurrence(name: str, gates: int, loop, x: Tensor, w: Tensor,
         fits = hid > 0 and cols == gates * hid and rows == feat + hid
     if not fits:
         raise ContractViolation(
-            f"{name} weight {w.shape} and bias {b.shape} do not match "
+            f"{cell}_seq weight {w.shape} and bias {b.shape} do not match "
             f"input {x.shape}")
     bsz, tlen = xd.shape[-3:-1]
     x2 = np.swapaxes(xd, -3, -2).reshape(*xd.shape[:-3], tlen * bsz, feat)
@@ -380,37 +386,37 @@ def _lstm_loop(xz, wh):
     return hs, back
 
 
+# cell type -> (gate count, time loop)
+_RECURRENT_TABLE = {"lstm": (4, _lstm_loop), "rnn": (1, _rnn_loop)}
+
+
 def rnn_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Unidirectional tanh recurrence with combined input+state weight
     (F+H, H) and bias (H,), or K of them in lockstep (see _recurrence).
     Backward is truncation-free backpropagation through time in one graph
     node."""
-    return _recurrence("rnn_seq", 1, _rnn_loop, x, w, b)
+    return _recurrence("rnn", x, w, b)
 
 
 def lstm_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Unidirectional LSTM with combined weight (F+H, 4H) and a single
     combined bias (4H,), gate order input, forget, cell, output, or K of
     them in lockstep (see _recurrence)."""
-    return _recurrence("lstm_seq", 4, _lstm_loop, x, w, b)
+    return _recurrence("lstm", x, w, b)
 
 
-class RNNLayer(Module):
-    def __init__(self, feat: int, hidden: int, rng: np.random.Generator):
-        self.weight = _uniform(rng, (feat + hidden, hidden), feat + hidden)
-        self.bias = _uniform(rng, (hidden,), feat + hidden)
+class RecurrentLayer(Module):
+    """One lstm_seq or rnn_seq layer, by `cell`, with its weight and bias."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return rnn_seq(x, self.weight, self.bias)
-
-
-class LSTMLayer(Module):
-    def __init__(self, feat: int, hidden: int, rng: np.random.Generator):
-        self.weight = _uniform(rng, (feat + hidden, 4 * hidden), feat + hidden)
-        self.bias = _uniform(rng, (4 * hidden,), feat + hidden)
+    def __init__(self, cell: str, feat: int, hidden: int,
+                 rng: np.random.Generator):
+        self.cell = cell
+        cols = _RECURRENT_TABLE[cell][0] * hidden
+        self.weight = _uniform(rng, (feat + hidden, cols), feat + hidden)
+        self.bias = _uniform(rng, (cols,), feat + hidden)
 
     def forward(self, x: Tensor) -> Tensor:
-        return lstm_seq(x, self.weight, self.bias)
+        return _recurrence(self.cell, x, self.weight, self.bias)
 
 
 class AdditiveAttention(Module):
@@ -420,12 +426,11 @@ class AdditiveAttention(Module):
     re-weights rather than shrinks the sequence."""
 
     def __init__(self, hidden: int, rng: np.random.Generator):
-        self.weight = _uniform(rng, (hidden, hidden), hidden)
-        self.bias = _uniform(rng, (hidden,), hidden)
+        self.proj = Linear(hidden, hidden, rng)
         self.v = _uniform(rng, (hidden, 1), hidden)
 
     def scores(self, h: Tensor) -> Tensor:
-        e = tanh(h @ self.weight + self.bias) @ self.v   # (B, T, 1)
+        e = tanh(self.proj(h)) @ self.v   # (B, T, 1)
         return softmax(e, axis=1)
 
     def forward(self, h: Tensor) -> Tensor:
@@ -438,9 +443,8 @@ class RecurrentStack(Module):
     def __init__(self, cell: str, depth: int, feat: int, hidden: int,
                  rng: np.random.Generator, attention: bool):
         self.cell = cell
-        layer = LSTMLayer if cell == "lstm" else RNNLayer
-        self.layers = [layer(feat if i == 0 else hidden, hidden, rng)
-                       for i in range(depth)]
+        self.layers = [RecurrentLayer(cell, feat if i == 0 else hidden,
+                                      hidden, rng) for i in range(depth)]
         self.attention = AdditiveAttention(hidden, rng) if attention else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -459,15 +463,15 @@ def run_candidates(ops, x: Tensor) -> list[Tensor]:
     recurrence node over the stacked layer-l weights. Stacks go deepest
     first, so layer l+1's input is a prefix of layer l's output."""
     outs = {}
-    for cell, kernel in (("lstm", lstm_seq), ("rnn", rnn_seq)):
+    for cell in _RECURRENT_TABLE:
         live = sorted((k for k, op in enumerate(ops)
                        if isinstance(op, RecurrentStack) and op.cell == cell),
                       key=lambda k: -len(ops[k].layers))
         h, depth = x, 0
         while live:
             layers = [ops[k].layers[depth] for k in live]
-            h = kernel(h, stack([layer.weight for layer in layers]),
-                       stack([layer.bias for layer in layers]))
+            h = _recurrence(cell, h, stack([layer.weight for layer in layers]),
+                            stack([layer.bias for layer in layers]))
             depth += 1
             for pos, k in enumerate(live):
                 if len(ops[k].layers) == depth:
@@ -476,16 +480,6 @@ def run_candidates(ops, x: Tensor) -> list[Tensor]:
             if len(live) < h.shape[0]:
                 h = h[:len(live)]
     return [outs[k] if k in outs else op(x) for k, op in enumerate(ops)]
-
-
-class SeqIdentity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class SeqNone(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor(np.zeros(x.shape))
 
 
 # ---- factories ----
@@ -505,9 +499,9 @@ def build_seq_op(name: str, feat: int, hidden: int,
         if feat != hidden:
             raise ContractViolation(
                 f"sequence skip_connect needs feat == hidden, got {feat} != {hidden}")
-        return SeqIdentity()
+        return SkipConnect(1)
     if name == "none":
-        return SeqNone()
+        return NoneOp(1)
     if name not in SEQNN_OPS:
         raise ContractViolation(f"unknown SeqNN op {name!r}")
     cell, *att, depth = name.split("_")

@@ -21,12 +21,13 @@ import numpy as np
 from .cell import Cell, augment_scope, component_key, num_edges
 from .config import SearchConfig
 from .errors import ContractViolation
-from .ops import CNN_OPS, BatchNorm2d, Linear, Module, _uniform
+from .ops import (CNN_OPS, BatchNorm2d, Linear, Module, ReLUConvNorm,
+                  _uniform)
 from .tensor import (Tensor, _out_size, concat, conv2d, cross_entropy, relu,
                      softmax)
 
 __all__ = ["Backbone", "Supernet", "build_supernet", "flatten_bridge",
-           "reduction_positions", "Stem", "ReLUConvNorm", "FactorizedReduce"]
+           "reduction_positions", "Stem", "FactorizedReduce"]
 
 
 def reduction_positions(c: int) -> set[int]:
@@ -57,18 +58,6 @@ class Stem(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.norm(conv2d(x, self.weight, padding=1))
-
-
-class ReLUConvNorm(Module):
-    """1x1 projection adapter: ReLU, pointwise conv, norm."""
-
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 affine: bool):
-        self.weight = _uniform(rng, (cout, cin, 1, 1), cin)
-        self.norm = BatchNorm2d(cout, affine)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.norm(conv2d(relu(x), self.weight))
 
 
 class FactorizedReduce(Module):

@@ -354,7 +354,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits).
+    """Mean negative log-likelihood of integer labels in [0, K) under
+    softmax(logits).
 
     Computed through log-sum-exp, so large logits do not overflow.
     """
@@ -364,7 +365,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ContractViolation(
             f"cross_entropy expects (B, K) logits and (B,) labels, got "
             f"{logits.shape} and {labels.shape}")
-    n = logits.shape[0]
+    n, k = logits.shape
+    if ((labels < 0) | (labels >= k)).any():
+        raise ContractViolation(f"cross_entropy labels must lie in [0, {k})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ls = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = -ls[np.arange(n), labels].mean()

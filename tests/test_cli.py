@@ -94,6 +94,20 @@ class TestGenData:
         assert main(["gen-data", "--out", str(tmp_path / "x.edset"),
                      "--speakers", "5", "--per", "1"]) == EXIT_IO
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.edset"
+        assert main(["gen-data", "--out", str(out), "--speakers", "5",
+                     "--per", "1", "--dims", "8x8", "--seed", "-1"]) \
+            == EXIT_USAGE
+        assert not out.exists()
+
+    def test_negative_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMODARTS_SEED", "-3")
+        out = tmp_path / "x.edset"
+        assert main(["gen-data", "--out", str(out), "--speakers", "5",
+                     "--per", "1", "--dims", "8x8"]) == EXIT_IO
+        assert not out.exists()
+
     def test_too_few_speakers_is_usage_error(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x.edset"),
                      "--speakers", "3"]) == EXIT_USAGE
@@ -126,6 +140,14 @@ class TestUsage:
         assert main(["search", "--help"]) == 0
         assert "--retain-all-edges" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["search", "derive", "baseline",
+                                         "study"])
+    def test_negative_seed_flag(self, tmp_path, command):
+        argv = [command, "--data", "d", "--out", str(tmp_path / "o"),
+                "--seed", "-1"] + (["--genome", "g"] if command == "derive"
+                                   else [])
+        assert main(argv) == EXIT_USAGE
+
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "emodarts.cli",
                                "--version"], capture_output=True, text=True)
@@ -152,6 +174,14 @@ class TestFeatures:
                        "a.wav,happy,s1\n"
                        "b.wav,sad,s2\n")
         return str(idx)
+
+    def test_seed_flag_is_not_accepted(self, tmp_path):
+        # features draws nothing at random, so a seed would go unread
+        idx = self._bundle(tmp_path)
+        out = tmp_path / "w.edset"
+        assert main(["features", "--index", idx, "--out", str(out),
+                     "--seed", "3"]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_builds_edset(self, tmp_path):
         idx = self._bundle(tmp_path)
@@ -395,6 +425,28 @@ class TestReplay:
         assert main(["replay", "--manifest", str(bad),
                      "--out", str(tmp_path / "x")]) == EXIT_IO
 
+    def test_manifest_that_replays_itself(self, tmp_path):
+        bad = tmp_path / "loop.json"
+        bad.write_text(json.dumps({
+            "command": "replay", "outputs": [str(tmp_path / "x")],
+            "argv": ["replay", "--manifest", str(bad),
+                     "--out", str(tmp_path / "x")]}))
+        assert main(["replay", "--manifest", str(bad),
+                     "--out", str(tmp_path / "x")]) == EXIT_IO
+
+    def test_manifest_argv_must_run_its_command(self, tmp_path):
+        out = str(tmp_path / "d.edset")
+        assert main(["gen-data", "--out", out, "--speakers", "5", "--per",
+                     "1", "--dims", "8x8", "--seed", "4"]) == EXIT_OK
+        doc = _manifest(out)
+        doc["command"] = "search"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        new_out = tmp_path / "redo.edset"
+        assert main(["replay", "--manifest", str(bad),
+                     "--out", str(new_out)]) == EXIT_IO
+        assert not new_out.exists()
+
     def test_manifest_missing_keys(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "gen-data"}))
@@ -464,3 +516,27 @@ def test_bad_input_file_exits_74(tmp_path, edset, ini, argv, content):
             for a in argv]
     assert main(argv) == EXIT_IO
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "derive", "baseline", "study"])
+def test_negative_seed_in_config_exits_74(tmp_path, edset, command):
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text(TINY_INI + "seed = -1\n")
+    genome = tmp_path / "g.json"
+    genome.write_bytes(_genome_bytes())
+    out = tmp_path / "out"
+    argv = [command, "--data", edset, "--out", str(out), "--config", str(cfg)]
+    if command == "derive":
+        argv += ["--genome", str(genome)]
+    assert main(argv) == EXIT_IO
+    assert not out.exists()
+
+
+def test_classes_below_the_corpus_labels_is_usage_error(tmp_path, edset):
+    # the synthetic corpus has 4 classes; labels 2 and 3 are out of range
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(TINY_INI + "classes = 2\n")
+    out = tmp_path / "g.json"
+    assert main(["search", "--data", edset, "--out", str(out),
+                 "--config", str(cfg)]) == EXIT_USAGE
+    assert not out.exists()

@@ -53,8 +53,8 @@ def run_guarded(script, tmp_path):
                           text=True, timeout=300)
 
 
-def test_all_six_demos_are_found():
-    assert len(DEMOS) == 6
+def test_all_five_demos_are_found():
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from emodarts import NumericFault
+from emodarts import ContractViolation, NumericFault
 from emodarts.config import SearchConfig
 from emodarts.metrics import ua, wa
 from emodarts.optim import CosineSchedule, cosine_lr
@@ -18,6 +18,12 @@ def tiny_config(**kw):
                 seq_scope=("rnn_1",), epochs=3, batch_size=8, seed=5)
     base.update(kw)
     return SearchConfig(**base)
+
+
+def test_config_rejects_negative_seed():
+    # numpy seeds only non-negative integers
+    with pytest.raises(ContractViolation, match="seed"):
+        tiny_config(seed=-1)
 
 
 def blobs(n, seed, hw=8):

@@ -108,6 +108,14 @@ def test_cross_entropy_is_overflow_safe():
     assert np.all(np.isfinite(logits.grad))
 
 
+@pytest.mark.parametrize("labels", [[0, 4], [-1, 2], [3, 5]])
+def test_cross_entropy_rejects_labels_outside_the_classes(labels):
+    # numpy would read -1 as the last class without complaint
+    logits = Tensor(np.zeros((2, 4)), requires_grad=True)
+    with pytest.raises(ContractViolation, match=r"\[0, 4\)"):
+        cross_entropy(logits, np.array(labels))
+
+
 @pytest.mark.parametrize("fn", [relu, tanh, sigmoid, softmax, log_softmax])
 def test_elementwise_and_softmax_against_finite_differences(fn):
     rng = np.random.default_rng(hash(fn.__name__) % 2**32)
