@@ -169,10 +169,6 @@ class Cell(Module):
                 _edge_op(kind, name, width, stride, rng, False)
                 for name in self.scope]))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def _check_input(self, x: Tensor, pos: int) -> None:
         cnn = self.kind == "cnn"
         if x.ndim != (4 if cnn else 3) or x.shape[1 if cnn else 2] != self.width:
@@ -207,8 +203,7 @@ def discretize_edge(alpha_row: np.ndarray, op_names: list[str]):
     if alpha_row.shape != (len(op_names),):
         raise ContractViolation(
             f"alpha row {alpha_row.shape} does not match {len(op_names)} ops")
-    z = np.exp(alpha_row - alpha_row.max())
-    w = z / z.sum()
+    w = softmax(alpha_row, axis=0).data
     best, best_w = None, -1.0
     for k, name in enumerate(op_names):
         if name == "none":

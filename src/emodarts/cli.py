@@ -98,6 +98,17 @@ _positive_int = _int_at_least(1)
 _seed_int = _int_at_least(0)
 
 
+def _noise(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= v < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {v}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="emodarts",
                      description="Differentiable architecture search for "
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per", type=_positive_int, default=10,
                    help="clips per class per speaker")
     p.add_argument("--dims", type=_dims, default=(128, 128))
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=_noise, default=0.1)
     common(p, config=False)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -229,11 +240,10 @@ def _load_config(path, overrides: dict) -> SearchConfig:
     return SearchConfig.from_dict(doc)
 
 
-def _write_manifest(command: str, argv: list, seed: int,
-                    config: SearchConfig | None, inputs: list,
-                    outputs: list, flags: dict) -> None:
+def _write_manifest(argv: list, seed: int, config: SearchConfig | None,
+                    inputs: list, outputs: list, flags: dict) -> None:
     doc = {
-        "command": command,
+        "command": argv[0],
         "argv": [str(a) for a in argv],
         "seed": int(seed),
         "versions": {"emodarts": __version__,
@@ -264,7 +274,7 @@ def _cmd_gen_data(args, argv):
     ds = synth_dataset(args.speakers, args.per, dims=args.dims,
                        noise=args.noise, seed=seed)
     save_edset(ds, args.out)
-    _write_manifest("gen-data", argv, seed, None, [], [args.out],
+    _write_manifest(argv, seed, None, [], [args.out],
                     {"speakers": args.speakers, "per": args.per,
                      "dims": list(args.dims), "noise": args.noise})
     print(f"wrote {args.out}: {len(ds)} clips, "
@@ -298,8 +308,8 @@ def _cmd_features(args, argv):
                  seed=0, generator={"kind": "wav",
                                     "index": os.path.basename(args.index)})
     save_edset(ds, args.out)
-    _write_manifest("features", argv, 0, None, [args.index] + wav_paths,
-                    [args.out], {"count": len(ds)})
+    _write_manifest(argv, 0, None, [args.index] + wav_paths, [args.out],
+                    {"count": len(ds)})
     print(f"wrote {args.out}: {len(ds)} clips from {args.index}")
     return EXIT_OK
 
@@ -328,7 +338,7 @@ def _cmd_search(args, argv):
         write_history_csv(history, args.history)
         outputs.append(args.history)
     inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest("search", argv, cfg.seed, cfg, inputs, outputs,
+    _write_manifest(argv, cfg.seed, cfg, inputs, outputs,
                     {"scope": args.scope,
                      "retain_all_edges": bool(args.retain_all_edges),
                      "degenerate_cnn": flags["cnn"],
@@ -360,7 +370,7 @@ def _cmd_derive(args, argv):
         outputs.append(args.history)
     ua_v, wa_v = evaluate(model, (ds.features, ds.labels))
     inputs = [args.genome, args.data] + ([args.config] if args.config else [])
-    _write_manifest("derive", argv, cfg.seed, cfg, inputs, outputs, {})
+    _write_manifest(argv, cfg.seed, cfg, inputs, outputs, {})
     print(f"wrote {args.out}; training-set ua={ua_v:.2f} wa={wa_v:.2f}")
     return EXIT_OK
 
@@ -370,19 +380,7 @@ def _cmd_baseline(args, argv):
                                      "epochs": args.epochs})
     ds = _load_dataset(args.data)
     kinds = BASELINE_KINDS if args.kind == "all" else [args.kind]
-    results, scatter = study(ds, cfg, scopes=kinds, n_folds=args.folds,
-                             seed=cfg.seed, jobs=args.jobs)
-    write_results_csv(results, args.out)
-    outputs = [args.out]
-    if args.scatter:
-        write_scatter_csv(scatter, args.scatter)
-        outputs.append(args.scatter)
-    inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest("baseline", argv, cfg.seed, cfg, inputs, outputs,
-                    {"kind": args.kind, "folds": args.folds,
-                     "jobs": args.jobs})
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return _run_study(args, argv, cfg, ds, kinds, {"kind": args.kind})
 
 
 def _cmd_study(args, argv):
@@ -396,22 +394,30 @@ def _cmd_study(args, argv):
         if unknown or not scopes:
             raise ContractViolation(
                 f"unknown scopes {unknown}, expected among {STUDY_SCOPES}")
+    return _run_study(args, argv, cfg, ds, scopes,
+                      {"scopes": scopes, "search_epochs": args.search_epochs,
+                       "train_epochs": args.train_epochs,
+                       "retain_all_edges": bool(args.retain_all_edges)},
+                      retain_all=args.retain_all_edges,
+                      search_epochs=args.search_epochs,
+                      train_epochs=args.train_epochs)
+
+
+def _run_study(args, argv, cfg, ds, scopes, flags, **options):
+    """The baseline and study tail: cross `scopes` with speaker folds,
+    write the per-fold CSV, the optional scatter CSV and the manifest
+    (`flags` plus the fold and job counts), and report any failed fold
+    runs."""
     results, scatter = study(ds, cfg, scopes=scopes, n_folds=args.folds,
-                             seed=cfg.seed, retain_all=args.retain_all_edges,
-                             search_epochs=args.search_epochs,
-                             train_epochs=args.train_epochs, jobs=args.jobs)
+                             seed=cfg.seed, jobs=args.jobs, **options)
     write_results_csv(results, args.out)
     outputs = [args.out]
     if args.scatter:
         write_scatter_csv(scatter, args.scatter)
         outputs.append(args.scatter)
     inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest("study", argv, cfg.seed, cfg, inputs, outputs,
-                    {"scopes": scopes, "folds": args.folds,
-                     "search_epochs": args.search_epochs,
-                     "train_epochs": args.train_epochs,
-                     "retain_all_edges": bool(args.retain_all_edges),
-                     "jobs": args.jobs})
+    _write_manifest(argv, cfg.seed, cfg, inputs, outputs,
+                    {**flags, "folds": args.folds, "jobs": args.jobs})
     failed = sum(1 for r in results if r.ua is None)
     note = f" ({failed} fold runs failed)" if failed else ""
     print(f"wrote {args.out}{note}")
@@ -421,8 +427,7 @@ def _cmd_study(args, argv):
 def _cmd_export_dot(args, argv):
     genome = deserialize(read_text(args.genome, "genome"))
     write_file(args.out, export_dot(genome))
-    _write_manifest("export-dot", argv, 0, None, [args.genome], [args.out],
-                    {})
+    _write_manifest(argv, 0, None, [args.genome], [args.out], {})
     print(f"wrote {args.out}")
     return EXIT_OK
 

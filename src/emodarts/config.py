@@ -7,6 +7,7 @@ CNN catalog is always searched in full.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .artifacts import is_int
@@ -52,12 +53,31 @@ class SearchConfig:
             raise ContractViolation("need C >= 0, N >= 0 and at least one cell")
         if self.B_cnn < 1 or self.B_seqnn < 1:
             raise ContractViolation("cells need at least one intermediate node")
-        if self.channels < 1 or self.hidden < 1 or self.classes < 2:
+        widths = (self.channels, self.hidden, self.baseline_channels,
+                  self.baseline_dense, self.baseline_lstm)
+        if min(widths) < 1 or self.classes < 2:
             raise ContractViolation("widths must be positive, classes >= 2")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractViolation("epochs and batch_size must be positive")
-        if not (0.0 <= self.dropout < 1.0) or self.grad_clip < 0.0:
-            raise ContractViolation("dropout in [0, 1), grad_clip >= 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractViolation("dropout must lie in [0, 1)")
+        rates = {f: getattr(self, f) for f in (
+            "lr_max", "lr_min", "momentum", "weight_decay", "arch_lr",
+            "arch_beta1", "arch_beta2", "arch_weight_decay", "grad_clip")}
+        bad = [f for f, v in rates.items() if not math.isfinite(v)]
+        if bad:
+            raise ContractViolation(f"{', '.join(bad)} must be finite")
+        if not (0.0 <= self.lr_min <= self.lr_max and self.lr_max > 0.0
+                and self.arch_lr > 0.0):
+            raise ContractViolation(
+                "need 0 <= lr_min <= lr_max, lr_max > 0 and arch_lr > 0")
+        if not all(0.0 <= rates[f] < 1.0
+                   for f in ("momentum", "arch_beta1", "arch_beta2")):
+            raise ContractViolation(
+                "momentum, arch_beta1 and arch_beta2 must lie in [0, 1)")
+        if min(self.weight_decay, self.arch_weight_decay, self.grad_clip) < 0:
+            raise ContractViolation(
+                "weight_decay, arch_weight_decay and grad_clip must be >= 0")
         if self.seed < 0:
             raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         allowed = set(SEQNN_OPS) | set(PASSIVE_OPS)

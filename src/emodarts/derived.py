@@ -126,7 +126,7 @@ def train_derived(model: DerivedModel, train_split, config: SearchConfig,
     history: list[DerivedEpoch] = []
     for epoch in range(epochs):
         lr = cosine_lr(sched, epoch)
-        opt.set_lr(lr)
+        opt.lr = lr
         tally = _RunningSplit(by_sample=True)
         for batch in _batches(len(x), config.batch_size, rng):
             _train_step(model, x[batch], y[batch], opt, tally, history,

@@ -172,6 +172,8 @@ def synth_dataset(n_speakers: int, per: int, dims=(128, 128),
             f"need at least 5 speakers for meaningful folds, got {n_speakers}")
     if per < 1 or n_classes < 2:
         raise ContractViolation("need per >= 1 and n_classes >= 2")
+    if not 0.0 <= noise < np.inf:
+        raise ContractViolation(f"noise must be finite and >= 0, got {noise}")
     h, w = dims
     rng = np.random.default_rng([int(seed), 0xDA7A])
     offsets = rng.uniform(-h / 32.0, h / 32.0, size=n_speakers)

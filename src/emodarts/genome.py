@@ -18,7 +18,7 @@ positive, and every component the echoed C and N need is non-empty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,15 +85,8 @@ def extract_genome(net: Supernet, retain_all: bool = False) -> Genome:
 
 
 def serialize(genome: Genome) -> str:
-    doc = {
-        "version": genome.version,
-        "scope": list(genome.scope),
-        "cnn_normal": genome.cnn_normal,
-        "cnn_reduce": genome.cnn_reduce,
-        "seqnn": genome.seqnn,
-        "config": genome.config,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(asdict(genome), sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 def deserialize(text: str) -> Genome:
@@ -142,10 +135,7 @@ def deserialize(text: str) -> Genome:
         if not edges[key]:
             raise DataError(f"genome lacks a {key} blueprint, which "
                             f"C={cfg['C']}, N={cfg['N']} need")
-    return Genome(version=doc["version"], scope=list(scope),
-                  config={"B": dict(cfg["B"]), "C": cfg["C"], "N": cfg["N"],
-                          "channels": cfg["channels"], "hidden": cfg["hidden"]},
-                  **edges)
+    return Genome(version=doc["version"], scope=scope, config=cfg, **edges)
 
 
 def detect_degenerate(genome: Genome) -> dict:
@@ -166,9 +156,7 @@ def export_dot(genome: Genome) -> str:
     for comp, edges in genome.components().items():
         if not edges:
             continue
-        b = genome.config.get("B", {}).get("seqnn" if comp == "seqnn" else "cnn")
-        if b is None:
-            b = max(e["to_node"] for e in edges) - 1
+        b = genome.config["B"]["seqnn" if comp == "seqnn" else "cnn"]
         lines.append(f"  subgraph cluster_{comp} {{")
         lines.append(f'    label="{comp}";')
         node = {0: f"{comp}_in0", 1: f"{comp}_in1"}

@@ -153,7 +153,6 @@ class Baseline(Module):
                 f"unknown baseline {kind!r}, expected one of {BASELINE_KINDS}")
         self.kind = kind
         self.config = config
-        self.training = True
         rng = np.random.default_rng([int(seed), 0xBA5E])
         ch = config.baseline_channels
         h, w = input_hw

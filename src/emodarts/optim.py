@@ -31,9 +31,6 @@ class SGD:
         self.weight_decay = float(weight_decay)
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def set_lr(self, lr: float) -> None:
-        self.lr = float(lr)
-
     def step(self) -> None:
         for i, p in enumerate(self.params):
             if p.grad is None:

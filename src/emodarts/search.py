@@ -27,7 +27,7 @@ from .errors import ContractViolation, NumericFault
 from .metrics import ua as ua_metric
 from .optim import SGD, Adam, CosineSchedule, clip_grad_norm, cosine_lr
 from .supernet import Supernet
-from .tensor import Tensor, cross_entropy
+from .tensor import Tensor, cross_entropy, softmax
 
 __all__ = ["EpochStats", "HISTORY_COLUMNS", "alpha_entropy", "search",
            "write_history_csv"]
@@ -50,9 +50,7 @@ class EpochStats:
 
 def alpha_entropy(table: np.ndarray) -> float:
     """Mean Shannon entropy (nats) of softmax over each row."""
-    table = np.asarray(table, dtype=np.float64)
-    z = np.exp(table - table.max(axis=-1, keepdims=True))
-    p = z / z.sum(axis=-1, keepdims=True)
+    p = softmax(table).data
     ent = -(p * np.log(np.maximum(p, 1e-300))).sum(axis=-1)
     return float(ent.mean())
 
@@ -178,7 +176,7 @@ def search(net: Supernet, train_split, search_split, config: SearchConfig,
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         lr = cosine_lr(sched, epoch)
-        w_opt.set_lr(lr)
+        w_opt.lr = lr
         tb = _batches(len(xt), config.batch_size, rng)
         sb = _batches(len(xs), config.batch_size, rng)
         run_t, run_s = _RunningSplit(), _RunningSplit()

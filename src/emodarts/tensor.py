@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ContractViolation, GraphReuseError
 
 __all__ = [
-    "Tensor", "as_tensor", "concat", "stack", "relu", "tanh", "sigmoid",
-    "softmax", "log_softmax", "cross_entropy", "dropout",
+    "Tensor", "as_tensor", "concat", "stack", "relu", "tanh", "softmax",
+    "cross_entropy", "dropout",
     "conv2d", "max_pool2d", "avg_pool2d", "batch_norm", "finite_diff_grad",
 ]
 
@@ -154,20 +154,6 @@ class Tensor:
                        _unbroadcast(g * a.data, b.data.shape)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, as_tensor(other)
-        return Tensor._make(
-            a.data / b.data, (a, b),
-            lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                       _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-    def __pow__(self, p: float):
-        if not isinstance(p, (int, float)):
-            raise ContractViolation("only scalar exponents are supported")
-        a = self
-        return Tensor._make(
-            a.data ** p, (a,), lambda g: (g * p * a.data ** (p - 1),))
 
     def __matmul__(self, other):
         a, b = self, as_tensor(other)
@@ -324,12 +310,6 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor._make(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     z = x.data - x.data.max(axis=axis, keepdims=True)
@@ -340,17 +320,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return ((g - (g * s).sum(axis=axis, keepdims=True)) * s,)
 
     return Tensor._make(s, (x,), vjp)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    ls = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-    def vjp(g):
-        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor._make(ls, (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -14,21 +14,22 @@ def rng(s=0):
 
 def alpha_for(cell, seed=1, scale=1e-3):
     return Tensor(np.random.default_rng(seed).normal(
-        0.0, scale, size=(cell.n_edges, len(cell.scope))), requires_grad=True)
+        0.0, scale, size=(len(cell.edges), len(cell.scope))),
+        requires_grad=True)
 
 
 @pytest.mark.parametrize("b,want", [(1, 2), (2, 5), (3, 9), (4, 14), (5, 20), (6, 27)])
 def test_edge_count_formula_two_inputs(b, want):
     assert num_edges(b) == b * (b + 3) // 2 == want
     cell = Cell("cnn", CNN_OPS, 4, b, False, rng())
-    assert cell.n_edges == want
+    assert len(cell.edges) == want
 
 
 def test_four_node_single_input_cell_instantiates_six_of_each_op():
     # 1 input node + 3 intermediates, fully connected: 1+2+3 = 6 edges
     scope = ["lstm_1", "lstm_2", "lstm_att_1"]
     cell = Cell("seqnn", scope, 8, 3, False, rng(), num_inputs=1)
-    assert cell.n_edges == 6
+    assert len(cell.edges) == 6
     stacks = [op for e in cell.edges for op in e.ops
               if isinstance(op, RecurrentStack)]
     assert len(stacks) == 18  # 6 instances of each of the 3 kinds
@@ -118,7 +119,8 @@ def test_gradient_reaches_alpha_table():
     cell = Cell("seqnn", scope, 4, 2, False, rng(9))
     alphas = alpha_for(cell)
     x = [Tensor(rng(10).normal(size=(2, 4, 4))) for _ in range(2)]
-    (cell(x, alphas) ** 2.0).sum().backward()
+    y = cell(x, alphas)
+    (y * y).sum().backward()
     assert alphas.grad is not None
     assert np.all(np.isfinite(alphas.grad))
     # every edge row gets signal: softmax couples all candidates
@@ -127,7 +129,7 @@ def test_gradient_reaches_alpha_table():
 
 def test_weight_sharing_edges_have_private_parameters():
     cell = Cell("cnn", ["sep_conv_3x3"], 8, 2, False, rng(11))
-    assert count_params(cell) == cell.n_edges * 2 * (8 * 9 + 8 * 8)
+    assert count_params(cell) == len(cell.edges) * 2 * (8 * 9 + 8 * 8)
 
 
 def test_discretize_excludes_none_even_when_dominant():

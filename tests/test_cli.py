@@ -112,6 +112,14 @@ class TestGenData:
         assert main(["gen-data", "--out", str(tmp_path / "x.edset"),
                      "--speakers", "3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("noise", ["nan", "-1", "inf", "x"])
+    def test_bad_noise_is_usage_error(self, tmp_path, noise):
+        out = tmp_path / "x.edset"
+        assert main(["gen-data", "--out", str(out), "--speakers", "5",
+                     "--per", "1", "--dims", "8x8", "--noise", noise]) \
+            == EXIT_USAGE
+        assert not out.exists()
+
     def test_bad_dims(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x.edset"),
                      "--dims", "wide"]) == EXIT_USAGE
@@ -368,6 +376,16 @@ class TestBaselineAndStudy:
             srows = list(csv.reader(fh))
         assert len(srows) == 2
 
+    def test_baseline_reports_failed_folds(self, tmp_path, edset, capsys):
+        cfg = tmp_path / "blowup.ini"
+        cfg.write_text(TINY_INI + "lr_max = 1e200\nlr_min = 1e200\n")
+        out = str(tmp_path / "res.csv")
+        with np.errstate(all="ignore"):
+            assert main(["baseline", "--data", edset, "--out", out, "--kind",
+                         "cnn", "--folds", "2", "--epochs", "1", "--config",
+                         str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out} (2 fold runs failed)\n"
+
     def test_study_results(self, tmp_path, edset, ini):
         out = str(tmp_path / "res.csv")
         code = main(["study", "--data", edset, "--out", out, "--scopes",
@@ -539,4 +557,21 @@ def test_classes_below_the_corpus_labels_is_usage_error(tmp_path, edset):
     out = tmp_path / "g.json"
     assert main(["search", "--data", edset, "--out", str(out),
                  "--config", str(cfg)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "baseline_channels = 0", "baseline_dense = 0", "baseline_lstm = 0",
+    "lr_max = -1", "momentum = nan", "arch_lr = inf", "weight_decay = -1",
+    "arch_beta1 = 1.5"])
+def test_out_of_range_config_value_exits_74(tmp_path, edset, line):
+    key = line.split()[0]
+    text = "".join(row + "\n" for row in TINY_INI.splitlines()
+                   if not row.startswith(key + " "))
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text + line + "\n")
+    out = tmp_path / "res.csv"
+    assert main(["baseline", "--data", edset, "--out", str(out), "--kind",
+                 "cnn_lstm", "--folds", "2", "--epochs", "1",
+                 "--config", str(cfg)]) == EXIT_IO
     assert not out.exists()

@@ -1,6 +1,6 @@
-"""Every name in a module's __all__ exists, every name the package
-re-exports is the object its module exports under that name, and no module
-imports a name it never uses."""
+"""Every name in a module's __all__ exists and is used outside the tests,
+every name the package re-exports is the object its module exports under
+that name, and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -61,3 +61,34 @@ def test_no_unused_imports():
         unused += [f"{name}.py:{line} {n}" for n, line in imported.items()
                    if n not in used and n not in exported]
     assert not unused, f"unused imports: {unused}"
+
+
+def _referenced_names(path: pathlib.Path, package_init: bool) -> set:
+    """Names a file reads: loaded names, attribute names and imported names.
+    A definition stores its name, so it does not count, and neither do the
+    package's own re-exports (the imports in emodarts/__init__.py)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and not package_init:
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+    return out
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package_init = root / "src" / "emodarts" / "__init__.py"
+    used = set()
+    for part in ("src", "perfbench", "demos"):
+        for path in sorted((root / part).rglob("*.py")):
+            if "tests" not in path.relative_to(root).parts:
+                used |= _referenced_names(path, path == package_init)
+    unused = [f"{name}.{n}" for name in MODULES for n in getattr(
+        importlib.import_module(f"emodarts.{name}"), "__all__", [])
+        if n not in used]
+    assert not unused, f"exported but used only by tests: {unused}"

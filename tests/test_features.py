@@ -254,6 +254,11 @@ class TestSynthDataset:
         with pytest.raises(ContractViolation):
             synth_dataset(4, 2)
 
+    @pytest.mark.parametrize("noise", [float("nan"), -1.0, float("inf")])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ContractViolation, match="noise"):
+            synth_dataset(5, 1, dims=(8, 8), noise=noise)
+
 
 class TestEdset:
     def _sample(self):

@@ -102,6 +102,39 @@ def test_serialize_is_canonical_and_round_trips():
     assert deserialize(text) == g          # value-level equality
 
 
+PINNED_GENOME = Genome(
+    version=1, scope=["lstm_att_1", "rnn_2", "skip_connect", "none"],
+    cnn_normal=[{"from_node": 0, "to_node": 2, "op": "sep_conv_3x3"},
+                {"from_node": 1, "to_node": 2, "op": "max_pool_3x3"},
+                {"from_node": 2, "to_node": 3, "op": "conv_7x1_1x7"}],
+    cnn_reduce=[{"from_node": 1, "to_node": 2, "op": "dil_conv_5x5"},
+                {"from_node": 0, "to_node": 3, "op": "avg_pool_3x3"},
+                {"from_node": 2, "to_node": 3, "op": "skip_connect"}],
+    seqnn=[{"from_node": 0, "to_node": 2, "op": "lstm_att_1"},
+           {"from_node": 1, "to_node": 2, "op": "rnn_2"}],
+    config={"B": {"cnn": 2, "seqnn": 1}, "C": 3, "N": 1, "channels": 6,
+            "hidden": 10})
+
+PINNED_TEXT = (
+    '{"cnn_normal":[{"from_node":0,"op":"sep_conv_3x3","to_node":2},'
+    '{"from_node":1,"op":"max_pool_3x3","to_node":2},'
+    '{"from_node":2,"op":"conv_7x1_1x7","to_node":3}],'
+    '"cnn_reduce":[{"from_node":1,"op":"dil_conv_5x5","to_node":2},'
+    '{"from_node":0,"op":"avg_pool_3x3","to_node":3},'
+    '{"from_node":2,"op":"skip_connect","to_node":3}],'
+    '"config":{"B":{"cnn":2,"seqnn":1},"C":3,"N":1,"channels":6,"hidden":10},'
+    '"scope":["lstm_att_1","rnn_2","skip_connect","none"],'
+    '"seqnn":[{"from_node":0,"op":"lstm_att_1","to_node":2},'
+    '{"from_node":1,"op":"rnn_2","to_node":2}],"version":1}\n')
+
+
+def test_serialize_writes_the_pinned_document():
+    # the genome file format: these bytes must not drift between versions
+    assert serialize(PINNED_GENOME) == PINNED_TEXT
+    assert deserialize(PINNED_TEXT) == PINNED_GENOME
+    assert serialize(deserialize(PINNED_TEXT)) == PINNED_TEXT
+
+
 def test_serialize_orders_edges_by_to_then_from():
     g = extract_genome(make_net(), retain_all=True)
     for comp in (g.cnn_reduce, g.seqnn):

@@ -26,6 +26,43 @@ def test_config_rejects_negative_seed():
         tiny_config(seed=-1)
 
 
+@pytest.mark.parametrize("field", ["baseline_channels", "baseline_dense",
+                                   "baseline_lstm"])
+def test_config_rejects_baseline_widths_below_one(field):
+    with pytest.raises(ContractViolation, match="widths"):
+        tiny_config(**{field: 0})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kw", [
+    {"lr_max": 0.0}, {"lr_max": -1.0}, {"lr_max": NAN}, {"lr_max": INF},
+    {"lr_min": -1e-3}, {"lr_min": 1.0}, {"lr_min": NAN},
+    {"momentum": -0.1}, {"momentum": 1.0}, {"momentum": NAN},
+    {"arch_beta1": -0.1}, {"arch_beta1": 1.5}, {"arch_beta2": 1.0},
+    {"arch_beta2": NAN},
+    {"weight_decay": -1.0}, {"weight_decay": INF},
+    {"arch_weight_decay": -1e-3}, {"arch_weight_decay": NAN},
+    {"grad_clip": -1.0}, {"grad_clip": NAN}, {"grad_clip": INF},
+    {"arch_lr": 0.0}, {"arch_lr": -1.0}, {"arch_lr": INF},
+], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_config_rejects_optimizer_values_out_of_range(kw):
+    with pytest.raises(ContractViolation, match=next(iter(kw))):
+        tiny_config(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"lr_max": 1e200, "lr_min": 1e200}, {"lr_max": 1.0, "lr_min": 1.0},
+    {"lr_min": 0.0}, {"momentum": 0.0, "weight_decay": 0.0},
+    {"arch_beta1": 0.0, "arch_beta2": 0.0, "arch_weight_decay": 0.0},
+    {"grad_clip": 0.0}, {"grad_clip": 1e-3},
+])
+def test_config_accepts_optimizer_values_at_the_bounds(kw):
+    cfg = tiny_config(**kw)
+    assert all(getattr(cfg, k) == v for k, v in kw.items())
+
+
 def blobs(n, seed, hw=8):
     """Class k gets a bright band in row block k; trivially separable."""
     rng = np.random.default_rng(seed)

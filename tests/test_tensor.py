@@ -13,8 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 from emodarts import (ContractViolation, GraphReuseError, Tensor,
                       avg_pool2d, batch_norm, concat, conv2d, cross_entropy,
-                      dropout, finite_diff_grad, log_softmax, max_pool2d,
-                      relu, sigmoid, softmax, stack, tanh)
+                      dropout, finite_diff_grad, max_pool2d, relu, softmax,
+                      stack, tanh)
 from emodarts.tensor import _mix
 
 RTOL, ATOL = 1e-3, 1e-5
@@ -116,7 +116,7 @@ def test_cross_entropy_rejects_labels_outside_the_classes(labels):
         cross_entropy(logits, np.array(labels))
 
 
-@pytest.mark.parametrize("fn", [relu, tanh, sigmoid, softmax, log_softmax])
+@pytest.mark.parametrize("fn", [relu, tanh, softmax])
 def test_elementwise_and_softmax_against_finite_differences(fn):
     rng = np.random.default_rng(hash(fn.__name__) % 2**32)
     base = rng.normal(size=(3, 6))
@@ -518,7 +518,7 @@ def check_vjps(fn, arrays, seed):
 
 
 BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-          "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+          "*": lambda a, b: a * b}
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,8 +529,6 @@ BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
 def test_elementwise_vjps_under_broadcasting(op, shapes, seed):
     rng = np.random.default_rng(seed)
     a, b = (rng.normal(size=s) for s in shapes.input_shapes)
-    if op == "/":   # keep the divisor away from zero
-        b = np.where(b < 0, -1.0, 1.0) * (0.5 + np.abs(b))
     check_vjps(BINARY[op], [a, b], seed + 1)
 
 
