@@ -22,7 +22,6 @@ import wave as wave_mod
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .artifacts import is_int, read_container, write_container
 from .errors import ContractViolation, DataError
@@ -89,6 +88,8 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = FRAME_SIZE,
 
 def mfcc(wave: np.ndarray) -> np.ndarray:
     """(128, 512) cepstral matrix from one clip (mel rows, time columns)."""
+    # imported here, not with the module: it would dominate `import emodarts`
+    import scipy.fft
     x = pad_or_truncate(wave)
     # pad so exactly N_FRAMES frames fit: (N_FRAMES-1)*hop + frame samples
     total = (N_FRAMES - 1) * HOP_SIZE + FRAME_SIZE

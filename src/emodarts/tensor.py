@@ -371,6 +371,38 @@ def _out_size(n: int, kernel: int, stride: int = 1, padding: int = 0,
     return (n + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
 
 
+def _geometry(op: str, hw, kernel, stride, padding, dilation=(1, 1),
+              pool: bool = False) -> tuple:
+    """(kh, kw, sh, sw, dh, dw, Ho, Wo) of a window op over an (H, W) map.
+
+    Kernel, stride and dilation must be >= 1 and padding >= 0; a pool's
+    padding must also be <= kernel // 2, so every window holds a real cell.
+    """
+    if (min(*kernel, *stride, *dilation) < 1 or min(padding) < 0 or pool
+            and any(p > k // 2 for p, k in zip(padding, kernel))):
+        raise ContractViolation(
+            f"{op} wants kernel, stride and dilation >= 1 and padding >= 0"
+            f"{' and <= kernel // 2' if pool else ''}, got kernel {kernel}, "
+            f"stride {stride}, padding {padding}, dilation {dilation}")
+    ho, wo = map(_out_size, hw, kernel, stride, padding, dilation)
+    if ho <= 0 or wo <= 0:
+        raise ContractViolation(f"{op} produces empty output from {hw} maps")
+    return (*kernel, *stride, *dilation, ho, wo)
+
+
+def _pad(a: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
+    """`a` with ph rows and pw columns of `value` added on both sides of its
+    last two axes; `a` itself when there is nothing to add."""
+    if not (ph or pw):
+        return a
+    *lead, h, w = a.shape
+    out = np.empty((*lead, h + 2 * ph, w + 2 * pw))
+    out[..., :ph, :] = out[..., ph + h:, :] = value
+    out[..., :pw] = out[..., pw + w:] = value
+    out[..., ph:ph + h, pw:pw + w] = a
+    return out
+
+
 def _windows(xp: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
     # strided view (B, C, kh, kw, Ho, Wo) over the padded input
     b, c = xp.shape[:2]
@@ -389,38 +421,46 @@ def _taps(a: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
                           j * dw:j * dw + sw * (wo - 1) + 1:sw]
 
 
+def _tap_reduce(ufunc, a: np.ndarray, geom) -> np.ndarray:
+    """ufunc folded over the tap views of `a` in (i, j) order."""
+    views = (view for _, _, view in _taps(a, *geom))
+    out = next(views).copy()
+    for view in views:
+        ufunc(out, view, out=out)
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
            groups: int = 1) -> Tensor:
     """2-D cross-correlation. x: (B, Cin, H, W), w: (Cout, Cin/groups, kh, kw).
 
     A depthwise convolution (one input and one output channel per group)
-    runs as a loop over kernel taps; every other one as an im2col GEMM per
-    group. Only parents with requires_grad get a gradient. No bias term;
-    the op catalog always follows a convolution with a normalization
-    layer, which absorbs any constant shift.
+    runs as a loop over kernel taps; every other one as a batch of im2col
+    GEMMs, one per clip and group, whose columns are the input itself for a
+    1x1 stride-1 convolution. Only parents with requires_grad get a
+    gradient. No bias term; the op catalog always follows a convolution
+    with a normalization layer, which absorbs any constant shift.
     """
     x, w = as_tensor(x), as_tensor(w)
-    sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    dh, dw = _pair(dilation)
     bsz, cin, h, wd = x.shape
     cout, cg, kh, kw = w.shape
     if cin != cg * groups or cout % groups:
         raise ContractViolation(
             f"conv2d channel mismatch: x has {cin} channels, weight is "
             f"{w.shape} with groups={groups}")
-    ho, wo = _out_size(h, kh, sh, ph, dh), _out_size(wd, kw, sw, pw, dw)
-    if ho <= 0 or wo <= 0:
-        raise ContractViolation(f"conv2d produces empty output from {x.shape}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    geom = (kh, kw, sh, sw, dh, dw, ho, wo)
+    geom = _geometry("conv2d", (h, wd), (kh, kw), _pair(stride), (ph, pw),
+                     _pair(dilation))
+    ho, wo = geom[-2:]
+    xp = _pad(x.data, ph, pw)
     og = cout // groups
 
     def dx_of(dtap):
         # scatter-add each tap's (B, groups, cg, Ho, Wo) input gradient back
-        # onto the padded map
-        dxp = np.zeros_like(xp)
+        # onto the padded map; a 1x1 stride-1 conv's one tap is the input
+        if geom[:4] == (1, 1, 1, 1) and xp is x.data:
+            return dtap(0, 0).reshape(x.shape)
+        dxp = np.zeros(xp.shape)
         for i, j, view in _taps(dxp.reshape(bsz, groups, cg, *xp.shape[2:]),
                                 *geom):
             view += dtap(i, j)
@@ -445,53 +485,53 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
         return Tensor._make(out, (x, w), vjp)
 
     def columns():
-        # (groups, cg*kh*kw, B*Ho*Wo), one contiguous copy of the windows
-        win = _windows(xp, *geom).reshape(bsz, groups, cg, kh, kw, ho, wo)
-        return np.ascontiguousarray(win.transpose(1, 2, 3, 4, 0, 5, 6)).reshape(
-            groups, cg * kh * kw, bsz * ho * wo)
+        # (B, groups, cg*kh*kw, Ho*Wo): one copy of the windows, batch-major
+        # so that wmat @ columns() is already NCHW
+        return _windows(xp, *geom).reshape(bsz, groups, cg * kh * kw, ho * wo)
 
     wmat = w.data.reshape(groups, og, cg * kh * kw)
-    out = (wmat @ columns()).reshape(groups, og, bsz, ho, wo)
-    out = out.transpose(2, 0, 1, 3, 4).reshape(bsz, cout, ho, wo)
+    out = (wmat @ columns()).reshape(bsz, cout, ho, wo)
 
     def vjp(g):
-        gmat = np.ascontiguousarray(
-            g.reshape(bsz, groups, og, ho, wo).transpose(1, 2, 0, 3, 4)
-        ).reshape(groups, og, bsz * ho * wo)
-        gw = None
+        gmat = g.reshape(bsz, groups, og, ho * wo)
+        gw = dx = None
         if w.requires_grad:
-            gw = (gmat @ columns().transpose(0, 2, 1)).reshape(w.shape)
-        dx = None
+            gw = (gmat @ columns().swapaxes(-1, -2)).sum(axis=0).reshape(w.shape)
         if x.requires_grad:
-            dcols = (wmat.transpose(0, 2, 1) @ gmat).reshape(
-                groups, cg, kh, kw, bsz, ho, wo)
-            dx = dx_of(lambda i, j: dcols[:, :, i, j].transpose(2, 0, 1, 3, 4))
+            dcols = (wmat.swapaxes(-1, -2) @ gmat).reshape(
+                bsz, groups, cg, kh, kw, ho, wo)
+            dx = dx_of(lambda i, j: dcols[:, :, :, i, j])
         return dx, gw
 
     return Tensor._make(out, (x, w), vjp)
 
 
 def max_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor:
-    """Max pooling; padded cells never win (they are filled with -inf)."""
+    """Max pooling; padded cells never win (they are filled with -inf). A
+    window's gradient goes to its first tap, in (i, j) order, that holds
+    the maximum."""
     x = as_tensor(x)
     sh, sw = _pair(stride)
-    bsz, c, h, wd = x.shape
-    ho, wo = _out_size(h, kernel, sh, padding), _out_size(wd, kernel, sw, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=-np.inf)
-    win = _windows(xp, kernel, kernel, sh, sw, 1, 1, ho, wo)
-    flat = win.reshape(bsz, c, kernel * kernel, ho, wo)
-    idx = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
+    c, h, wd = x.shape[1:]
+    geom = _geometry("max_pool2d", (h, wd), (kernel, kernel), (sh, sw),
+                     (padding, padding), pool=True)
+    xp = _pad(x.data, padding, padding, -np.inf)
+    out = _tap_reduce(np.maximum, xp, geom)
 
     def vjp(g):
-        hp, wp = xp.shape[2], xp.shape[3]
-        bi, ci, hi, wi = np.ogrid[:bsz, :c, :ho, :wo]
-        rows = hi * sh + idx // kernel
-        cols = wi * sw + idx % kernel
-        lin = (((bi * c + ci) * hp + rows) * wp + cols).ravel()
-        dxp = np.bincount(lin, weights=g.ravel(), minlength=xp.size)
-        dxp = dxp.reshape(xp.shape)
+        # each window's first maximal tap: scan the taps backwards and set
+        # first = k wherever tap k holds the maximum (an integer step, not
+        # a masked write), so the earliest such tap is the one left
+        first = np.zeros(out.shape, np.min_scalar_type(kernel * kernel - 1))
+        hit = np.empty(out.shape, dtype=bool)
+        for k, (_, _, view) in reversed(list(enumerate(_taps(xp, *geom)))):
+            first -= (first - k) * np.equal(view, out, out=hit)
+        # the padded map's flat index of that tap; np.bincount adds the
+        # windows' gradients there in window order
+        bi, ci, hi, wi = np.indices(out.shape, sparse=True)
+        lin = (((bi * c + ci) * xp.shape[2] + hi * sh + first // kernel)
+               * xp.shape[3] + wi * sw + first % kernel)
+        dxp = np.bincount(lin.ravel(), np.ravel(g), xp.size).reshape(xp.shape)
         return (dxp[:, :, padding:padding + h, padding:padding + wd],)
 
     return Tensor._make(out, (x,), vjp)
@@ -500,25 +540,29 @@ def max_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor
 def avg_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor:
     """Average pooling; padded cells are excluded from each window's count."""
     x = as_tensor(x)
-    sh, sw = _pair(stride)
-    bsz, c, h, wd = x.shape
-    ho, wo = _out_size(h, kernel, sh, padding), _out_size(wd, kernel, sw, padding)
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad)
-    ones = np.pad(np.ones((1, 1, h, wd)), pad)
-    counts = _windows(ones, kernel, kernel, sh, sw, 1, 1, ho, wo).sum(axis=(2, 3))
-    win = _windows(xp, kernel, kernel, sh, sw, 1, 1, ho, wo)
-    out = win.sum(axis=(2, 3)) / counts
+    h, wd = x.shape[2:]
+    geom = _geometry("avg_pool2d", (h, wd), (kernel, kernel), _pair(stride),
+                     (padding, padding), pool=True)
+    xp = _pad(x.data, padding, padding)
+    counts = _tap_reduce(np.add, _pad(np.ones((h, wd)), padding, padding), geom)
+    out = _tap_reduce(np.add, xp, geom)
+    out /= counts
 
     def vjp(g):
         gd = g / counts
-        dxp = np.zeros_like(xp)
-        for i in range(kernel):
-            for j in range(kernel):
-                dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gd
+        dxp = np.zeros(xp.shape)
+        for _, _, dview in _taps(dxp, *geom):
+            dview += gd
         return (dxp[:, :, padding:padding + h, padding:padding + wd],)
 
     return Tensor._make(out, (x,), vjp)
+
+
+def _dot_over(a: np.ndarray, b: np.ndarray, axes: tuple) -> np.ndarray:
+    """sum(a * b) over `axes`, kept as size-1 axes, in one pass."""
+    dims = list(range(a.ndim))
+    return np.expand_dims(np.einsum(
+        a, dims, b, dims, [k for k in dims if k not in axes]), axes)
 
 
 def batch_norm(x: Tensor, axes: tuple, eps: float = 1e-5):
@@ -528,15 +572,21 @@ def batch_norm(x: Tensor, axes: tuple, eps: float = 1e-5):
     running-statistic bookkeeping and any affine transform.
     """
     x = as_tensor(x)
+    axes = tuple(a % x.ndim for a in axes)
     mean = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+    xhat = x.data - mean
+    n = x.data.size // mean.size
+    var = _dot_over(xhat, xhat, axes) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat *= inv
 
     def vjp(g):
         gm = g.mean(axis=axes, keepdims=True)
-        gx = (g * xhat).mean(axis=axes, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
+        gx = _dot_over(g, xhat, axes) / n
+        dx = g - xhat * gx
+        dx -= gm
+        dx *= inv
+        return (dx,)
 
     return Tensor._make(xhat, (x,), vjp), mean, var
 

@@ -5,6 +5,8 @@ eps 1e-4), compared at rtol 1e-3 / atol 1e-5. Hand-derived closed forms are
 asserted exactly where they exist.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,6 +437,201 @@ def test_batch_norm_output_and_gradient():
         return float((yv.data * w).sum())
 
     check_close(t.grad, fd(f, x))
+
+
+def test_batch_norm_vjp_over_other_axes_against_finite_differences():
+    # a (B, T, F) map normalized over batch and features, the axes named
+    # from the end, under a non-uniform upstream gradient
+    rng = np.random.default_rng(22)
+    x = rng.normal(loc=-1.0, scale=3.0, size=(3, 4, 5))
+    w = rng.normal(size=x.shape) * np.linspace(0.1, 2.0, x.size).reshape(x.shape)
+    t = Tensor(x, requires_grad=True)
+    y, mean, var = batch_norm(t, axes=(0, -1))
+    np.testing.assert_allclose(mean, x.mean(axis=(0, 2), keepdims=True),
+                               rtol=1e-12)
+    np.testing.assert_allclose(var, x.var(axis=(0, 2), keepdims=True),
+                               rtol=1e-12)
+    (y * Tensor(w)).sum().backward()
+
+    def f(v):
+        return float((batch_norm(Tensor(v), axes=(0, -1))[0].data * w).sum())
+
+    check_close(t.grad, fd(f, x))
+
+
+def _window_max_pool2d(x, g, kernel, stride, padding):
+    """The earlier window-and-argmax max pool, kept as the reference for
+    the tap loop: returns (out, dx) for upstream g."""
+    bsz, c, h, wd = x.shape
+    ho = (h + 2 * padding - kernel) // stride + 1
+    wo = (wd + 2 * padding - kernel) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=-np.inf)
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (bsz, c, kernel, kernel, ho, wo),
+        (s0, s1, s2, s3, s2 * stride, s3 * stride))
+    flat = win.reshape(bsz, c, kernel * kernel, ho, wo)
+    idx = flat.argmax(axis=2)
+    out = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
+    hp, wp = xp.shape[2:]
+    bi, ci, hi, wi = np.ogrid[:bsz, :c, :ho, :wo]
+    rows = hi * stride + idx // kernel
+    cols = wi * stride + idx % kernel
+    lin = (((bi * c + ci) * hp + rows) * wp + cols).ravel()
+    dxp = np.bincount(lin, weights=g.ravel(), minlength=xp.size)
+    dxp = dxp.reshape(xp.shape)
+    return out, dxp[:, :, padding:padding + h, padding:padding + wd]
+
+
+def _window_avg_pool2d(x, g, kernel, stride, padding):
+    """The earlier window-sum average pool: returns (out, dx)."""
+    bsz, c, h, wd = x.shape
+    ho = (h + 2 * padding - kernel) // stride + 1
+    wo = (wd + 2 * padding - kernel) // stride + 1
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+
+    def windows(a):
+        s0, s1, s2, s3 = a.strides
+        return np.lib.stride_tricks.as_strided(
+            a, (a.shape[0], a.shape[1], kernel, kernel, ho, wo),
+            (s0, s1, s2, s3, s2 * stride, s3 * stride))
+
+    xp = np.pad(x, pad)
+    counts = windows(np.pad(np.ones((1, 1, h, wd)), pad)).sum(axis=(2, 3))
+    out = windows(xp).sum(axis=(2, 3)) / counts
+    gd = g / counts
+    dxp = np.zeros_like(xp)
+    for i in range(kernel):
+        for j in range(kernel):
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gd
+    return out, dxp[:, :, padding:padding + h, padding:padding + wd]
+
+
+def _pool_maps(rng, shape):
+    """Inputs for the pool references: distinct values, and three kinds of
+    tied maxima (a constant map, a few repeated values, and the zeros of a
+    ReLU, as the baseline's conv-ReLU-pool stack produces)."""
+    return {
+        "distinct": _separated(rng, shape),
+        "constant": np.full(shape, 0.5),
+        "repeated": rng.integers(0, 3, size=shape).astype(np.float64),
+        "relu zeros": np.maximum(rng.normal(size=shape), 0.0),
+    }
+
+
+POOL_GEOMETRIES = [(k, s, p) for k in (2, 3) for s in (1, 2)
+                   for p in range(k // 2 + 1)]
+
+
+@pytest.mark.parametrize("kernel,stride,padding", POOL_GEOMETRIES)
+def test_max_pool_matches_the_window_reference_on_ties(kernel, stride, padding):
+    rng = np.random.default_rng(100 * kernel + 10 * stride + padding)
+    for name, x in _pool_maps(rng, (2, 3, 7, 8)).items():
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, kernel, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_dx = _window_max_pool2d(x, g, kernel, stride, padding)
+        assert out.data.tobytes() == want_out.tobytes(), name
+        assert t.grad.tobytes() == want_dx.tobytes(), name
+
+
+@pytest.mark.parametrize("kernel,stride,padding", POOL_GEOMETRIES)
+def test_avg_pool_matches_the_window_reference(kernel, stride, padding):
+    # the tap loop sums a window in another order, so only sums that are
+    # exact in float64 (the small-integer maps) must match bit for bit
+    rng = np.random.default_rng(200 + 100 * kernel + 10 * stride + padding)
+    for name, x in _pool_maps(rng, (2, 3, 7, 8)).items():
+        t = Tensor(x, requires_grad=True)
+        out = avg_pool2d(t, kernel, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_dx = _window_avg_pool2d(x, g, kernel, stride, padding)
+        if name == "repeated":
+            assert out.data.tobytes() == want_out.tobytes()
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-14, atol=1e-15)
+        assert t.grad.tobytes() == want_dx.tobytes(), name
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_pointwise_conv_on_a_sliced_input_with_frozen_parents(stride):
+    # FactorizedReduce feeds a 1x1 conv the non-contiguous x[:, :, 1:, 1:]
+    rng = np.random.default_rng(23 + stride)
+    x, w = rng.normal(size=(2, 4, 9, 9)), rng.normal(size=(3, 4, 1, 1))
+    side = 7 // stride + 1                 # output side of the 8x8 slice
+    g = rng.normal(size=(2, 3, side, side))
+    want = _einsum_conv2d(x[:, :, 1:, 1:], w, g, (stride, stride), (0, 0),
+                          (1, 1), 1)
+    for frozen in (None, "x", "w"):
+        xt = Tensor(x, requires_grad=frozen != "x")
+        wt = Tensor(w, requires_grad=frozen != "w")
+        sliced = xt[:, :, 1:, 1:]
+        assert not sliced.data.flags.c_contiguous
+        out = conv2d(sliced, wt, stride=stride)
+        dx, gw = out._vjp(g)
+        assert (dx is None) == (frozen == "x") and (gw is None) == (frozen == "w")
+        (out * Tensor(g)).sum().backward()
+        assert np.abs(out.data - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+        if frozen != "x":
+            np.testing.assert_allclose(xt.grad[:, :, 1:, 1:], want[1],
+                                       rtol=1e-12, atol=1e-12)
+            assert not xt.grad[:, :, 0].any() and not xt.grad[:, :, :, 0].any()
+        if frozen != "w":
+            np.testing.assert_allclose(wt.grad, want[2], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: conv2d(x, Tensor(np.ones((3, 3, 3, 3))), stride=2),
+    lambda x: conv2d(x, Tensor(np.ones((3, 3, 1, 1)))),
+    lambda x: max_pool2d(x, 2, stride=2, padding=0),
+    lambda x: max_pool2d(x, 3, stride=1, padding=0),
+    lambda x: avg_pool2d(x, 3, stride=1, padding=0),
+], ids=["conv 3x3 s2", "conv 1x1", "max pool 2x2 s2", "max pool 3x3",
+        "avg pool 3x3"])
+def test_unpadded_window_ops_leave_their_input_untouched(op):
+    # at padding 0 the padded map is the input array itself
+    x = np.random.default_rng(24).normal(size=(2, 3, 6, 7))
+    before = x.tobytes()
+    t = Tensor(x, requires_grad=True)
+    y = op(t)
+    (y * y).sum().backward()
+    assert t.data.tobytes() == before
+
+
+def _conv_with(kernel, **args):
+    return lambda x: conv2d(x, Tensor(np.ones((2, 2) + kernel)), **args)
+
+
+BAD_GEOMETRY = {
+    # name: (call, words the error must contain)
+    "conv dilation 0": (_conv_with((3, 3), dilation=0), "dilation >= 1"),
+    "conv stride 0": (_conv_with((3, 3), stride=0), "stride"),
+    "conv stride (1, -1)": (_conv_with((3, 3), stride=(1, -1)), "stride"),
+    "conv padding -1": (_conv_with((3, 3), padding=-1), "padding >= 0"),
+    "conv kernel 0x3": (_conv_with((0, 3)), "kernel"),
+    "conv kernel wider than the map": (_conv_with((9, 9)), "empty output"),
+    "max pool kernel 0": (lambda x: max_pool2d(x, 0, 1, 0), "kernel"),
+    "max pool stride 0": (lambda x: max_pool2d(x, 3, 0, 1), "stride"),
+    "max pool padding -1": (lambda x: max_pool2d(x, 3, 1, -1), "padding >= 0"),
+    "max pool 3x3 padding 3": (lambda x: max_pool2d(x, 3, 1, 3),
+                               "kernel // 2"),
+    "max pool 2x2 padding 2": (lambda x: max_pool2d(x, 2, 2, 2),
+                               "kernel // 2"),
+    "avg pool 3x3 padding 2": (lambda x: avg_pool2d(x, 3, 1, 2),
+                               "kernel // 2"),
+    "avg pool stride (0, 1)": (lambda x: avg_pool2d(x, 3, (0, 1), 1),
+                               "stride"),
+    "avg pool kernel wider than the map": (lambda x: avg_pool2d(x, 9, 1, 0),
+                                           "empty output"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_GEOMETRY))
+def test_window_ops_reject_bad_geometry(name):
+    call, words = BAD_GEOMETRY[name]
+    with pytest.raises(ContractViolation, match=re.escape(words)):
+        call(Tensor(np.ones((1, 2, 6, 6))))
 
 
 def test_dropout_train_scales_and_eval_is_identity():
