@@ -1,13 +1,13 @@
-"""The cell layout and the weight-sharing search cells.
+"""The cell layout and the one cell class of search and derived networks.
 
 A cell is a small DAG: `num_inputs` input nodes followed by B intermediate
-nodes, with an edge from every earlier node to every intermediate node.
-Search cells, derived cells and genomes share this module's edge order,
-reduction strides, component keys and retained-edge check. In a search
-cell each edge holds one instance of every candidate op in the scope, and
-its output is the softmax(alpha)-weighted sum of all candidates. A node's
-value is the sum of its incoming edge outputs. `eval_cell` runs that graph
-for both the search cells here and the discrete cells of derived models.
+nodes. Search cells, derived cells and genomes share this module's edge
+order, reduction strides, component keys and retained-edge check. A search
+cell has an edge from every earlier node to every intermediate node; each
+edge holds one instance of every candidate op in the scope, and its output
+is the softmax(alpha)-weighted sum of all candidates. A discrete cell keeps
+only a genome's retained edges, one op each. In both forms a node's value
+is the sum of its incoming edge outputs.
 
 CNN cells concatenate the intermediate nodes along channels (output width
 B * channels); SeqNN cells average them elementwise (width stays hidden).
@@ -25,7 +25,7 @@ from .ops import (PASSIVE_OPS, Module, build_cnn_op, build_seq_op,
                   run_candidates)
 from .tensor import Tensor, _mix, concat, softmax
 
-__all__ = ["MixedEdge", "Cell", "eval_cell", "num_edges", "augment_scope",
+__all__ = ["MixedEdge", "Cell", "num_edges", "augment_scope",
            "discretize_edge", "cell_edges", "edge_stride", "component_key",
            "check_retained"]
 
@@ -98,35 +98,6 @@ def check_retained(edges, b: int, ops) -> list[dict]:
     return out
 
 
-def _edge_op(kind: str, name: str, width: int, stride: int,
-             rng: np.random.Generator, affine: bool) -> Module:
-    """One candidate op on a cell edge at the cell's working width."""
-    if kind == "cnn":
-        return build_cnn_op(name, width, stride, rng, affine)
-    return build_seq_op(name, width, width, rng)
-
-
-def eval_cell(kind: str, inputs: list[Tensor], edges, edge) -> Tensor:
-    """Run a cell graph. `edges` lists (from_node, to_node) pairs in
-    cell_edges order, at least one per intermediate node; edge(k, x) is
-    the output of the k-th. A node sums its edges; CNN cells concatenate
-    the nodes along channels, SeqNN cells average them."""
-    states = list(inputs)
-    for k, (i, j) in enumerate(edges):
-        out = edge(k, states[i])
-        if j < len(states):
-            states[j] = states[j] + out
-        else:
-            states.append(out)
-    nodes = states[len(inputs):]
-    if kind == "cnn":
-        return concat(nodes, axis=1)
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = total + node
-    return total * (1.0 / len(nodes))
-
-
 class MixedEdge(Module):
     """All candidates of one edge; forward mixes them with softmax weights.
     The recurrent candidates of a SeqNN edge run in lockstep
@@ -143,31 +114,46 @@ class MixedEdge(Module):
 
 
 class Cell(Module):
-    """One search cell. `kind` is "cnn" or "seqnn"; `width` is the channel
-    count (cnn) or hidden width (seqnn). Inputs to forward() must already
-    be at the cell's working width: projection is the caller's job."""
+    """One cell. `kind` is "cnn" or "seqnn"; `width` is the channel count
+    (cnn) or hidden width (seqnn). Inputs to forward() must already be at
+    the cell's working width: projection is the caller's job. The search
+    form mixes `scope` on every edge and runs as cell(inputs, alphas); the
+    discrete form keeps the ops of a `retained` genome component, checked
+    against `scope`, with affine norms, and runs as cell(inputs)."""
 
     def __init__(self, kind: str, scope, width: int, b: int, reduction: bool,
-                 rng: np.random.Generator, num_inputs: int = 2):
+                 rng: np.random.Generator, num_inputs: int = 2,
+                 retained=None):
         if kind not in ("cnn", "seqnn"):
             raise ContractViolation(f"unknown cell kind {kind!r}")
         if b < 1 or num_inputs < 1:
             raise ContractViolation("cell needs b >= 1 and num_inputs >= 1")
         if kind == "seqnn" and reduction:
             raise ContractViolation("sequence cells have no reduction form")
+        if retained is not None and num_inputs != 2:
+            raise ContractViolation("a discrete cell has exactly 2 inputs")
         self.kind = kind
         self.scope = list(scope)
         self.width = width
         self.b = b
         self.reduction = reduction
         self.num_inputs = num_inputs
-        self.edge_index = cell_edges(b, num_inputs)   # (from_node, to_node)
-        self.edges: list[MixedEdge] = []
-        for i, _ in self.edge_index:
+        self.discrete = retained is not None
+
+        def op(name: str, i: int) -> Module:
+            if kind == "seqnn":
+                return build_seq_op(name, width, width, rng)
             stride = edge_stride(reduction, i, num_inputs)
-            self.edges.append(MixedEdge([
-                _edge_op(kind, name, width, stride, rng, False)
-                for name in self.scope]))
+            return build_cnn_op(name, width, stride, rng, self.discrete)
+
+        if self.discrete:
+            kept = check_retained(retained, b, self.scope)
+            self.edge_index = [(e["from_node"], e["to_node"]) for e in kept]
+            self.edges = [op(e["op"], e["from_node"]) for e in kept]
+        else:
+            self.edge_index = cell_edges(b, num_inputs)  # (from_node, to_node)
+            self.edges = [MixedEdge([op(name, i) for name in self.scope])
+                          for i, _ in self.edge_index]
 
     def _check_input(self, x: Tensor, pos: int) -> None:
         cnn = self.kind == "cnn"
@@ -177,18 +163,33 @@ class Cell(Module):
                 f"cell input {pos} has shape {x.shape}; expected {want}. "
                 f"Project inputs before the cell.")
 
-    def forward(self, inputs: list[Tensor], alphas: Tensor) -> Tensor:
+    def forward(self, inputs: list[Tensor],
+                alphas: Tensor | None = None) -> Tensor:
         if len(inputs) != self.num_inputs:
             raise ContractViolation(
                 f"cell wants {self.num_inputs} inputs, got {len(inputs)}")
         for pos, x in enumerate(inputs):
             self._check_input(x, pos)
-        if alphas.shape[0] != len(self.edges):
+        rows = None if alphas is None else alphas.shape[0]
+        if rows != (None if self.discrete else len(self.edges)):
             raise ContractViolation(
-                f"alpha table has {alphas.shape[0]} rows, cell has "
-                f"{len(self.edges)} edges")
-        return eval_cell(self.kind, inputs, self.edge_index,
-                         lambda k, x: self.edges[k](x, alphas[k]))
+                f"got alpha table rows {rows}: a search cell takes one row "
+                f"per edge ({len(self.edges)}), a discrete cell no table")
+        states = list(inputs)
+        for k, ((i, j), edge) in enumerate(zip(self.edge_index, self.edges)):
+            x = states[i]
+            out = edge(x) if alphas is None else edge(x, alphas[k])
+            if j < len(states):
+                states[j] = states[j] + out
+            else:
+                states.append(out)
+        nodes = states[self.num_inputs:]
+        if self.kind == "cnn":
+            return concat(nodes, axis=1)
+        total = nodes[0]
+        for node in nodes[1:]:
+            total = total + node
+        return total * (1.0 / len(nodes))
 
 
 def discretize_edge(alpha_row: np.ndarray, op_names: list[str]):

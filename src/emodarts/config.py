@@ -84,6 +84,9 @@ class SearchConfig:
         bad = [s for s in self.seq_scope if s not in allowed]
         if bad or not self.seq_scope:
             raise ContractViolation(f"invalid SeqNN scope entries: {bad}")
+        if len(set(self.seq_scope)) != len(self.seq_scope):
+            raise ContractViolation(f"repeated SeqNN scope entries: "
+                                    f"{list(self.seq_scope)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

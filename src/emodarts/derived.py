@@ -1,11 +1,11 @@
 """Discrete models instantiated from genomes.
 
 A derived model runs on the same `Backbone` as the search network (stem,
-CNN chain, flatten bridge, SeqNN chain, head), but each cell keeps only
-the genome's retained edges, each realized as a single op with fresh
-weights. Norm layers run with affine enabled, and dropout is applied to
-the pooled features before the head during training. Training runs
-every batch through the search's `_train_step`.
+CNN chain, flatten bridge, SeqNN chain, head), with discrete `cell.Cell`s:
+each keeps only the genome's retained edges, each realized as a single op
+with fresh weights. Norm layers run with affine enabled, and dropout is
+applied to the pooled features before the head during training. Training
+runs every batch through the search's `_train_step`.
 
 Checkpoints use the container of `artifacts`: one JSON header line
 (genome, config, seed, input size), then the raw little-endian float64
@@ -28,14 +28,13 @@ from .genome import Genome, deserialize, serialize
 from .metrics import ua as ua_metric
 from .metrics import wa as wa_metric
 from .optim import cosine_lr
-from .cell import (_edge_op, augment_scope, check_retained, component_key,
-                   edge_stride, eval_cell)
-from .ops import CNN_OPS, SEQNN_OPS, Module, count_params
+from .cell import Cell, augment_scope, component_key
+from .ops import CNN_OPS, SEQNN_OPS, count_params
 from .search import _as_xy, _batches, _RunningSplit, _sgd, _train_step
 from .supernet import Backbone
 from .tensor import Tensor, dropout
 
-__all__ = ["DerivedCell", "DerivedModel", "instantiate", "train_derived",
+__all__ = ["DerivedModel", "instantiate", "train_derived",
            "DerivedEpoch", "TRAIN_COLUMNS", "write_train_csv", "evaluate",
            "save_checkpoint", "load_checkpoint", "count_params",
            "CHECKPOINT_VERSION"]
@@ -43,26 +42,6 @@ __all__ = ["DerivedCell", "DerivedModel", "instantiate", "train_derived",
 TRAIN_COLUMNS = ["epoch", "loss", "ua", "lr"]
 CHECKPOINT_FORMAT = "emodarts-checkpoint"
 CHECKPOINT_VERSION = 2
-
-
-class DerivedCell(Module):
-    """One discrete cell: node j sums its retained incoming edges, which
-    must pass `check_retained` (canonical order, every node fed)."""
-
-    def __init__(self, kind: str, edges: list[dict], width: int, b: int,
-                 reduction: bool, rng: np.random.Generator):
-        self.kind = kind
-        self.reduction = reduction
-        ops = CNN_OPS if kind == "cnn" else augment_scope(SEQNN_OPS)
-        edges = check_retained(edges, b, ops)
-        self.edge_index = [(e["from_node"], e["to_node"]) for e in edges]
-        self.ops = [_edge_op(kind, e["op"], width,
-                             edge_stride(reduction, e["from_node"]), rng, True)
-                    for e in edges]
-
-    def forward(self, inputs: list[Tensor]) -> Tensor:
-        return eval_cell(self.kind, inputs, self.edge_index,
-                         lambda k, x: self.ops[k](x))
 
 
 class DerivedModel(Backbone):
@@ -82,12 +61,13 @@ class DerivedModel(Backbone):
                          affine=True)
 
     def _cell(self, kind: str, reduction: bool,
-              rng: np.random.Generator) -> DerivedCell:
-        echo = self.genome.config
+              rng: np.random.Generator) -> Cell:
+        # the full catalog, not genome.scope: any catalog op may be retained
+        echo, cnn = self.genome.config, kind == "cnn"
         blueprint = self.genome.components()[component_key(kind, reduction)]
-        width = echo["channels"] if kind == "cnn" else echo["hidden"]
-        return DerivedCell(kind, blueprint, width, echo["B"][kind], reduction,
-                           rng)
+        return Cell(kind, CNN_OPS if cnn else augment_scope(SEQNN_OPS),
+                    echo["channels" if cnn else "hidden"], echo["B"][kind],
+                    reduction, rng, retained=blueprint)
 
     def forward_logits(self, x: Tensor) -> Tensor:
         pooled = dropout(self.pooled(x), self.config.dropout, self._mask_rng,

@@ -129,6 +129,8 @@ def load_wav(path) -> np.ndarray:
         raise DataError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if rate <= 0:
+        raise DataError(f"{path}: frame rate {rate} is not positive")
     x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if rate != SAMPLE_RATE and x.size:
         duration = x.size / rate

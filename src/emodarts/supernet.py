@@ -6,7 +6,8 @@ reduction cells at floor(C/3) and floor(2C/3)), a flatten bridge turns the
 CNN map into a sequence, N SeqNN cells refine it, and a mean over time plus
 a dense layer produce class logits. `Backbone` builds and runs that chain;
 the search network (`Supernet`) and the derived models differ only in
-their cells and in how a cell is called.
+their cells: search-form `Cell`s called with their kind's coefficient
+table, or discrete `Cell`s called with none.
 
 Architecture coefficients live in the search network, one table per cell
 kind that actually exists (normal CNN, reduction CNN, SeqNN), shared by
@@ -84,8 +85,9 @@ class Backbone(Module):
     A subclass sets what its cell factories need, then calls this
     constructor, which draws from `rng` in the order stem, CNN chain,
     `_init_arch`, SeqNN chain, head. The subclass supplies the cells
-    (`_cell`) and, if a cell takes more than its inputs, how it is called
-    (`_call_cell`). Attribute order fixes the order of params().
+    (`_cell`); `_init_arch` may fill `_alphas`, and each cell is called
+    with the table of its component key, or None when there is none.
+    Attribute order fixes the order of params().
     """
 
     def __init__(self, c_cells: int, n_cells: int, b_cnn: int, channels: int,
@@ -95,6 +97,7 @@ class Backbone(Module):
         if len(self.input_hw) != 2 or min(self.input_hw) < 1:
             raise ContractViolation(f"input_hw must be (H, W), got {input_hw}")
         h, w = self.input_hw
+        self._alphas: dict[str, Tensor] = {}   # a dict stays out of params()
         self.stem = Stem(channels, rng, affine)
         self.cnn_pre0: list[Module] = []
         self.cnn_pre1: list[Module] = []
@@ -133,21 +136,22 @@ class Backbone(Module):
     def _init_arch(self, rng: np.random.Generator) -> None:
         """Draws made between the CNN and SeqNN chains; none by default."""
 
-    def _call_cell(self, cell: Module, inputs: list[Tensor]) -> Tensor:
-        return cell(inputs)
-
     def pooled(self, x: Tensor) -> Tensor:
         """The chain up to the time-averaged SeqNN output."""
         if x.ndim != 4 or x.shape[1:] != (1,) + self.input_hw:
             raise ContractViolation(
                 f"{type(self).__name__} expects (B, 1, {self.input_hw[0]}, "
                 f"{self.input_hw[1]}) input, got {x.shape}")
+
+        def table(cell):
+            return self._alphas.get(component_key(cell.kind, cell.reduction))
+
         s0 = s1 = self.stem(x)
         for pre0, pre1, cell in zip(self.cnn_pre0, self.cnn_pre1, self.cnn_cells):
-            s0, s1 = s1, self._call_cell(cell, [pre0(s0), pre1(s1)])
+            s0, s1 = s1, cell([pre0(s0), pre1(s1)], table(cell))
         q0 = q1 = flatten_bridge(s1)
         for pre0, pre1, cell in zip(self.seq_pre0, self.seq_pre1, self.seq_cells):
-            q0, q1 = q1, self._call_cell(cell, [pre0(q0), pre1(q1)])
+            q0, q1 = q1, cell([pre0(q0), pre1(q1)], table(cell))
         return q1.mean(axis=1)
 
     def forward_logits(self, x: Tensor) -> Tensor:
@@ -177,21 +181,16 @@ class Supernet(Backbone):
         return Cell(kind, self.seq_scope, cfg.hidden, cfg.B_seqnn, False, rng)
 
     def _init_arch(self, rng: np.random.Generator) -> None:
-        # one table per existing cell kind; a dict keeps them out of
-        # params(), so the weight optimizer never sees them
+        # one table per existing cell kind
         cfg = self.config
         kinds = {cell.reduction for cell in self.cnn_cells}
         tables = [("cnn_normal", False in kinds, cfg.B_cnn, len(CNN_OPS)),
                   ("cnn_reduce", True in kinds, cfg.B_cnn, len(CNN_OPS)),
                   ("seqnn", cfg.N > 0, cfg.B_seqnn, len(self.seq_scope))]
-        self._alphas: dict[str, Tensor] = {
-            key: Tensor(rng.normal(0.0, 1e-3, (num_edges(b), n_ops)),
-                        requires_grad=True)
-            for key, present, b, n_ops in tables if present}
-
-    def _call_cell(self, cell: Cell, inputs: list[Tensor]) -> Tensor:
-        return cell(inputs, self._alphas[component_key(cell.kind,
-                                                       cell.reduction)])
+        self._alphas.update(
+            (key, Tensor(rng.normal(0.0, 1e-3, (num_edges(b), n_ops)),
+                         requires_grad=True))
+            for key, present, b, n_ops in tables if present)
 
     # ---- alpha access ----
 

@@ -1,51 +1,13 @@
 """Shared fixtures. The desk run executes the whole pipeline once per
 session (search, derive, retrain, baseline) so several acceptance checks
-can share its cost."""
+can share its cost. `artifact_hashes.py` holds it, and writes and hashes
+its artifacts when run as a script."""
 
-import time
-
-import numpy as np
 import pytest
 
-from emodarts.config import SearchConfig
-from emodarts.derived import evaluate, instantiate, train_derived
-from emodarts.features import synth_dataset
-from emodarts.genome import detect_degenerate, extract_genome
-from emodarts.harness import Baseline, speaker_cv_split
-from emodarts.search import search
-from emodarts.supernet import build_supernet
+from artifact_hashes import run_desk
 
 
 @pytest.fixture(scope="session")
 def desk_run():
-    t0 = time.monotonic()
-    ds = synth_dataset(8, 10, dims=(32, 32), noise=0.1, seed=11)
-    fold = speaker_cv_split(ds, n_folds=5, seed=11)[0]
-    cfg = SearchConfig(C=2, N=1, B_cnn=2, B_seqnn=2, channels=8, hidden=32,
-                       epochs=30, batch_size=16, seed=11)
-    net = build_supernet(cfg, np.random.default_rng(cfg.seed),
-                         input_hw=(32, 32))
-    history = search(net, ds.split(fold.train_idx), ds.split(fold.val_idx),
-                     cfg)
-    genome = extract_genome(net)
-    model = instantiate(genome, cfg, seed=11, input_hw=(32, 32))
-    trainval = np.concatenate([fold.train_idx, fold.val_idx])
-    train_derived(model, ds.split(trainval), cfg, epochs=50)
-    test_ua, test_wa = evaluate(model, ds.split(fold.test_idx))
-    base = Baseline("cnn", cfg, seed=11, input_hw=(32, 32))
-    train_derived(base, ds.split(trainval), cfg, epochs=50)
-    base_ua, base_wa = evaluate(base, ds.split(fold.test_idx))
-    return {
-        "dataset": ds,
-        "fold": fold,
-        "config": cfg,
-        "history": history,
-        "genome": genome,
-        "degenerate": detect_degenerate(genome),
-        "model": model,
-        "test_ua": test_ua,
-        "test_wa": test_wa,
-        "baseline_ua": base_ua,
-        "baseline_wa": base_wa,
-        "elapsed": time.monotonic() - t0,
-    }
+    return run_desk()

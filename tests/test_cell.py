@@ -83,6 +83,31 @@ def test_cell_rejects_unprojected_input():
         cell(bad, alpha_for(cell))
 
 
+SKIPS = [{"from_node": 0, "to_node": 2, "op": "skip_connect"},
+         {"from_node": 1, "to_node": 2, "op": "skip_connect"}]
+
+
+def test_discrete_cell_rejects_an_alpha_table():
+    cell = Cell("cnn", CNN_OPS, 4, 1, False, rng(), retained=SKIPS)
+    x = [Tensor(np.ones((1, 4, 4, 4))) for _ in range(2)]
+    with pytest.raises(ContractViolation, match="discrete cell no table"):
+        cell(x, Tensor(np.zeros((2, len(CNN_OPS)))))
+
+
+def test_search_cell_needs_an_alpha_table():
+    cell = Cell("cnn", CNN_OPS, 4, 1, False, rng())
+    x = [Tensor(np.ones((1, 4, 4, 4))) for _ in range(2)]
+    with pytest.raises(ContractViolation, match="search cell takes one row"):
+        cell(x)
+
+
+@pytest.mark.parametrize("num_inputs", [1, 3])
+def test_discrete_cell_has_two_inputs(num_inputs):
+    with pytest.raises(ContractViolation, match="exactly 2 inputs"):
+        Cell("cnn", CNN_OPS, 4, 1, False, rng(), num_inputs=num_inputs,
+             retained=SKIPS)
+
+
 def test_augment_scope_appends_skip_and_none_once():
     assert augment_scope(["lstm_1"]) == ["lstm_1", "skip_connect", "none"]
     assert augment_scope(["rnn_1", "none"]) == ["rnn_1", "none", "skip_connect"]

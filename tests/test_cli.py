@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 import subprocess
 import sys
 import wave as wave_mod
@@ -203,6 +204,20 @@ class TestFeatures:
         doc = _manifest(out)
         assert doc["command"] == "features"
         assert any(p.endswith("a.wav") for p in doc["inputs"])
+
+    def test_zero_frame_rate_wav_exits_74(self, tmp_path):
+        # a hand-written 44-byte header: the wave module refuses to write
+        # a zero rate, but reads one
+        data = np.zeros(64, dtype="<i2").tobytes()
+        (tmp_path / "z.wav").write_bytes(struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ",
+            16, 1, 1, 0, 0, 2, 16, b"data", len(data)) + data)
+        idx = tmp_path / "index.csv"
+        idx.write_text("file,label,speaker\nz.wav,happy,s1\n")
+        out = tmp_path / "w.edset"
+        assert main(["features", "--index", str(idx), "--out",
+                     str(out)]) == EXIT_IO
+        assert not out.exists()
 
     def test_missing_wav(self, tmp_path):
         idx = tmp_path / "index.csv"
@@ -563,7 +578,7 @@ def test_classes_below_the_corpus_labels_is_usage_error(tmp_path, edset):
 @pytest.mark.parametrize("line", [
     "baseline_channels = 0", "baseline_dense = 0", "baseline_lstm = 0",
     "lr_max = -1", "momentum = nan", "arch_lr = inf", "weight_decay = -1",
-    "arch_beta1 = 1.5"])
+    "arch_beta1 = 1.5", "seq_scope = lstm_1, lstm_1, none"])
 def test_out_of_range_config_value_exits_74(tmp_path, edset, line):
     key = line.split()[0]
     text = "".join(row + "\n" for row in TINY_INI.splitlines()

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from emodarts import ContractViolation, DataError, NumericFault, Tensor
+from emodarts.cell import Cell, augment_scope
 from emodarts.config import SearchConfig
-from emodarts.derived import (CHECKPOINT_VERSION, DerivedCell, TRAIN_COLUMNS,
-                              evaluate,
+from emodarts.derived import (CHECKPOINT_VERSION, TRAIN_COLUMNS, evaluate,
                               instantiate, load_checkpoint, save_checkpoint,
                               train_derived, write_train_csv)
 from emodarts.genome import Genome, extract_genome
-from emodarts.ops import count_params
+from emodarts.ops import CNN_OPS, SEQNN_OPS, count_params
 from emodarts.supernet import build_supernet
 
 
@@ -40,10 +40,15 @@ def blobs(n, seed, hw=16):
     return x, y
 
 
+def discrete_cell(kind, edges, width, b, reduction):
+    scope = CNN_OPS if kind == "cnn" else augment_scope(SEQNN_OPS)
+    return Cell(kind, scope, width, b, reduction, rng(), retained=edges)
+
+
 def test_derived_cell_sums_retained_edges():
     edges = [{"from_node": 0, "to_node": 2, "op": "skip_connect"},
              {"from_node": 1, "to_node": 2, "op": "skip_connect"}]
-    cell = DerivedCell("seqnn", edges, width=6, b=1, reduction=False, rng=rng())
+    cell = discrete_cell("seqnn", edges, width=6, b=1, reduction=False)
     a = Tensor(rng(1).normal(size=(2, 3, 6)))
     b = Tensor(rng(2).normal(size=(2, 3, 6)))
     np.testing.assert_allclose(cell([a, b]).data, a.data + b.data, rtol=1e-12)
@@ -52,7 +57,7 @@ def test_derived_cell_sums_retained_edges():
 def test_derived_cell_param_count_hand_sum():
     edges = [{"from_node": 0, "to_node": 2, "op": "sep_conv_3x3"},
              {"from_node": 1, "to_node": 2, "op": "skip_connect"}]
-    cell = DerivedCell("cnn", edges, width=4, b=1, reduction=False, rng=rng())
+    cell = discrete_cell("cnn", edges, width=4, b=1, reduction=False)
     # sep_conv_3x3 with affine norms: 2 * (4*9 depthwise + 16 pointwise + 8 affine)
     assert count_params(cell) == 2 * (36 + 16 + 8)
 
@@ -62,7 +67,7 @@ def test_derived_cell_reduction_strides_input_edges_only():
              {"from_node": 1, "to_node": 2, "op": "skip_connect"},
              {"from_node": 1, "to_node": 3, "op": "skip_connect"},
              {"from_node": 2, "to_node": 3, "op": "skip_connect"}]
-    cell = DerivedCell("cnn", edges, width=4, b=2, reduction=True, rng=rng())
+    cell = discrete_cell("cnn", edges, width=4, b=2, reduction=True)
     x = [Tensor(np.ones((1, 4, 8, 8))) for _ in range(2)]
     out = cell(x)
     assert out.shape == (1, 8, 4, 4)
@@ -71,7 +76,7 @@ def test_derived_cell_reduction_strides_input_edges_only():
 def test_derived_cell_rejects_orphan_nodes():
     edges = [{"from_node": 0, "to_node": 2, "op": "skip_connect"}]
     with pytest.raises(ContractViolation):
-        DerivedCell("cnn", edges, width=4, b=2, reduction=False, rng=rng())
+        discrete_cell("cnn", edges, width=4, b=2, reduction=False)
 
 
 def test_instantiate_forward_probabilities():
@@ -248,9 +253,10 @@ def _rewrite_header(src, dst, edit):
     lambda h: h.update(config="C=2"),
     lambda h: h["config"].update(time_pool="mean"),
     lambda h: h["config"].update(C=2.7),
+    lambda h: h["config"].update(seq_scope=["lstm_1", "lstm_1", "none"]),
 ], ids=["hw-one-value", "hw-zero", "hw-float", "seed-str", "seed-bool",
         "version-1", "genome-list", "config-str", "config-time-pool",
-        "config-float-C"])
+        "config-float-C", "config-repeated-scope"])
 def test_checkpoint_rejects_bad_header_fields(tmp_path, edit):
     genome, cfg = searched_genome()
     path = tmp_path / "model.ckpt"

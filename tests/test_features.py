@@ -2,6 +2,7 @@
 the ridge corpus, WAV loading, and the EDSET container."""
 
 import json
+import struct
 import wave as wave_mod
 
 import numpy as np
@@ -200,6 +201,17 @@ class TestLoadWav:
             fh.setframerate(16384)
             fh.writeframes(bytes(64))
         with pytest.raises(DataError):
+            load_wav(p)
+
+    def test_rejects_zero_frame_rate(self, tmp_path):
+        # a hand-written 44-byte header (mono, 16-bit, 0 Hz) and 4 frames:
+        # the wave module refuses to write a zero rate, but reads one
+        p = tmp_path / "z.wav"
+        data = np.array([0, 100, -100, 0], dtype="<i2").tobytes()
+        p.write_bytes(struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ",
+            16, 1, 1, 0, 0, 2, 16, b"data", len(data)) + data)
+        with pytest.raises(DataError, match="frame rate 0"):
             load_wav(p)
 
     def test_missing_file(self, tmp_path):

@@ -33,6 +33,14 @@ def test_config_rejects_baseline_widths_below_one(field):
         tiny_config(**{field: 0})
 
 
+@pytest.mark.parametrize("scope", [("lstm_1", "lstm_1", "none"),
+                                   ("rnn_1", "none", "none")])
+def test_config_rejects_repeated_scope_entries(scope):
+    # a repeated candidate would be built twice and split its softmax mass
+    with pytest.raises(ContractViolation, match="repeated"):
+        tiny_config(seq_scope=scope)
+
+
 NAN, INF = float("nan"), float("inf")
 
 
