@@ -449,7 +449,7 @@ def _cmd_replay(args, argv):
     if old_argv[:1] != [doc["command"]] or doc["command"] == "replay":
         raise DataError(f"manifest argv does not run its recorded command "
                         f"{doc['command']!r}, or runs replay")
-    out_dir = os.path.dirname(os.path.abspath(args.out))
+    out_dir = os.path.dirname(args.out)
     mapping = {outputs[0]: args.out}
     for extra in outputs[1:]:
         mapping[extra] = os.path.join(out_dir, os.path.basename(extra))

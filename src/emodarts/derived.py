@@ -30,7 +30,8 @@ from .metrics import wa as wa_metric
 from .optim import cosine_lr
 from .cell import Cell, augment_scope, component_key
 from .ops import CNN_OPS, SEQNN_OPS, count_params
-from .search import _as_xy, _batches, _RunningSplit, _sgd, _train_step
+from .search import (_as_xy, _batches, _frozen, _RunningSplit, _sgd,
+                     _train_step)
 from .supernet import Backbone
 from .tensor import Tensor, dropout
 
@@ -121,15 +122,20 @@ def write_train_csv(history: list[DerivedEpoch], path) -> None:
 
 
 def evaluate(model: DerivedModel, split, batch_size: int = 64):
-    """(UA, WA) on a labeled split, in eval mode."""
+    """(UA, WA) on a labeled split, in eval mode with every parameter
+    frozen, so no autodiff graph is built. The training flag and
+    requires_grad are restored however the call ends."""
     x, y = _as_xy(split, "evaluation")
-    was_training = model.training
-    model.set_training(False)
-    preds = []
-    for lo in range(0, len(x), batch_size):
-        logits = model.forward_logits(Tensor(x[lo:lo + batch_size]))
-        preds.append(logits.data.argmax(axis=1))
-    model.set_training(was_training)
+    was_training, preds = model.training, []
+    # params() skips frozen tensors: it is walked once, before the freeze
+    with _frozen(model.params()):
+        try:
+            model.set_training(False)
+            for lo in range(0, len(x), batch_size):
+                logits = model.forward_logits(Tensor(x[lo:lo + batch_size]))
+                preds.append(logits.data.argmax(axis=1))
+        finally:
+            model.set_training(was_training)
     preds = np.concatenate(preds)
     return ua_metric(y, preds), wa_metric(y, preds)
 

@@ -111,9 +111,11 @@ class BatchNorm2d(Module):
     """Per-channel normalization over (batch, height, width).
 
     Training mode normalizes with batch statistics and tracks running
-    estimates (momentum 0.1, biased variance); eval mode applies the
-    running estimates. The affine scale/shift is optional: search-time
-    supernets run with it disabled, derived models enable it.
+    estimates (momentum 0.1, biased variance). Eval mode is one scale and
+    shift per channel, `x * scale + shift`, with scale = γ/sqrt(running
+    var + eps) and shift = β - running mean * scale. The affine γ/β is
+    optional: search-time supernets run with it disabled, derived models
+    enable it.
     """
 
     eps = 1e-5
@@ -131,16 +133,17 @@ class BatchNorm2d(Module):
         return [self.running_mean, self.running_var]
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            y, mean, var = batch_norm(x, axes=(0, 2, 3), eps=self.eps)
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            y = (x - Tensor(self.running_mean)) * Tensor(inv)
-        if self.affine:
-            y = y * self.gamma + self.beta
-        return y
+        if not self.training:
+            # (1, C, 1, 1) ops, so x takes two full-size passes
+            scale = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+            if self.affine:
+                scale = scale * self.gamma
+            shift = Tensor(-self.running_mean) * scale
+            return x * scale + (shift + self.beta if self.affine else shift)
+        y, mean, var = batch_norm(x, axes=(0, 2, 3), eps=self.eps)
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
+        return y * self.gamma + self.beta if self.affine else y
 
 
 class Linear(Module):

@@ -11,9 +11,9 @@ baseline, study, export-dot and a replay of the search manifest on a
 small corpus. One `sha256  name` line is printed per file in OUTDIR.
 
 A change that must keep results byte-identical leaves every line the
-same. Compare two trees by running each in the same OUTDIR, one after
-the other: the replay manifest records OUTDIR's absolute path. Rounding
-depends on the BLAS thread count, hence OPENBLAS_NUM_THREADS=1.
+same. No file records OUTDIR's path, so two trees can be compared from
+runs in different OUTDIRs. Rounding depends on the BLAS thread count,
+hence OPENBLAS_NUM_THREADS=1.
 """
 
 import contextlib

@@ -448,6 +448,24 @@ class TestReplay:
         assert open(out, "rb").read() == open(new_out, "rb").read()
         assert open(hist, "rb").read() == open(redo / "h.csv", "rb").read()
 
+    def test_replay_manifest_does_not_depend_on_the_working_directory(
+            self, tmp_path, edset, ini, monkeypatch):
+        out = str(tmp_path / "g.json")
+        assert main(["search", "--data", edset, "--out", out, "--history",
+                     str(tmp_path / "h.csv"), "--config", ini,
+                     "--seed", "6"]) == EXIT_OK
+        manifests = []
+        for name in ("one", "two"):
+            (tmp_path / name / "redo").mkdir(parents=True)
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["replay", "--manifest", f"{out}.manifest.json",
+                         "--out", "redo/g.json"]) == EXIT_OK
+            assert (tmp_path / name / "redo" / "h.csv").is_file()
+            manifests.append(open("redo/g.json.manifest.json", "rb").read())
+        assert manifests[0] == manifests[1]
+        assert _manifest(tmp_path / "one" / "redo" / "g.json")["outputs"] == [
+            "redo/g.json", "redo/h.csv"]
+
     def test_manifest_missing(self, tmp_path):
         assert main(["replay", "--manifest", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "x")]) == EXIT_IO

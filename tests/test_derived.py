@@ -14,6 +14,9 @@ from emodarts.derived import (CHECKPOINT_VERSION, TRAIN_COLUMNS, evaluate,
                               instantiate, load_checkpoint, save_checkpoint,
                               train_derived, write_train_csv)
 from emodarts.genome import Genome, extract_genome
+from emodarts.harness import Baseline
+from emodarts.metrics import ua as ua_metric
+from emodarts.metrics import wa as wa_metric
 from emodarts.ops import CNN_OPS, SEQNN_OPS, count_params
 from emodarts.supernet import build_supernet
 
@@ -176,6 +179,63 @@ def test_evaluate_returns_percentages():
     score_ua, score_wa = evaluate(model, blobs(16, 9))
     assert 0.0 <= score_ua <= 100.0
     assert 0.0 <= score_wa <= 100.0
+
+
+def _derived_model(seed):
+    genome, cfg = searched_genome()
+    return instantiate(genome, cfg, seed=seed, input_hw=(16, 16))
+
+
+def _baseline(seed):
+    cfg = SearchConfig(C=1, N=1, channels=4, hidden=8, baseline_channels=4,
+                       baseline_dense=8, baseline_lstm=8, batch_size=4)
+    return Baseline("cnn_lstm", cfg, seed=seed, input_hw=(16, 16))
+
+
+EVAL_MODELS = pytest.mark.parametrize("make", [_derived_model, _baseline],
+                                      ids=["derived", "baseline"])
+
+
+@EVAL_MODELS
+@pytest.mark.parametrize("training", [True, False])
+def test_evaluate_restores_state_when_a_batch_raises(make, training):
+    model = make(15)
+    model.set_training(training)
+    params, count = model.params(), count_params(model)
+    with pytest.raises(ContractViolation):
+        evaluate(model, blobs(6, 16, hw=12))      # not the built-for size
+    assert model.training is training
+    assert all(p.requires_grad and p.grad is None for p in params)
+    assert model.params() == params
+    assert count_params(model) == count
+
+
+@EVAL_MODELS
+def test_evaluate_scores_the_argmax_of_graph_logits(make):
+    model = make(18)
+    train_derived(model, blobs(16, 19), model.config, epochs=1)
+    x, y = blobs(20, 20)
+    scores = evaluate(model, (x, y), batch_size=6)
+    model.set_training(False)
+    logits = model.forward_logits(Tensor(x[:, None]))
+    assert logits.requires_grad
+    preds = logits.data.argmax(axis=1)
+    assert scores == (ua_metric(y, preds), wa_metric(y, preds))
+
+
+def test_evaluate_forward_builds_no_graph(monkeypatch):
+    model = _derived_model(21)
+    outs = []
+
+    def forward(x):
+        outs.append(type(model).forward_logits(model, x))
+        return outs[-1]
+
+    monkeypatch.setattr(model, "forward_logits", forward)
+    evaluate(model, blobs(8, 22), batch_size=3)
+    assert len(outs) == 3
+    assert not any(t.requires_grad or t._parents for t in outs)
+    assert all(p.requires_grad for p in model.params())
 
 
 def test_checkpoint_round_trip_restores_state(tmp_path):

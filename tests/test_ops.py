@@ -217,6 +217,49 @@ def test_batch_norm_module_tracks_running_stats():
     assert abs(float(y.data.var()) - 1.0) < 5e-2
 
 
+def _eval_norm(affine, seed=12):
+    """An eval-mode norm with non-trivial running statistics and affine."""
+    rng = RNG(seed)
+    norm = BatchNorm2d(3, affine=affine)
+    norm.running_mean[...] = rng.normal(size=(1, 3, 1, 1))
+    norm.running_var[...] = rng.uniform(0.5, 2.0, size=(1, 3, 1, 1))
+    if affine:
+        norm.gamma.data[...] = rng.normal(size=(1, 3, 1, 1))
+        norm.beta.data[...] = rng.normal(size=(1, 3, 1, 1))
+    norm.set_training(False)
+    return norm, rng.normal(size=(4, 3, 5, 5))
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_batch_norm_eval_matches_the_textbook_formula(affine):
+    norm, x = _eval_norm(affine)
+    want = ((x - norm.running_mean)
+            / np.sqrt(norm.running_var + BatchNorm2d.eps))
+    if affine:
+        want = want * norm.gamma.data + norm.beta.data
+    np.testing.assert_allclose(norm(Tensor(x)).data, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_batch_norm_eval_gradients_match_oracle(affine):
+    norm, x0 = _eval_norm(affine, seed=13)
+    g = RNG(14).normal(size=x0.shape)
+    x = Tensor(x0.copy(), requires_grad=True)
+    (norm(x) * Tensor(g)).sum().backward()
+
+    def f(_):
+        return float((norm(Tensor(x.data)).data * g).sum())
+
+    # finite_diff_grad perturbs each array in place, where norm reads it
+    pairs = [(x.grad, x.data)]
+    if affine:
+        pairs += [(norm.gamma.grad, norm.gamma.data),
+                  (norm.beta.grad, norm.beta.data)]
+    for grad, arr in pairs:
+        fd = finite_diff_grad(f, arr, eps=1e-5)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
 def test_linear_applies_bias():
     lin = Linear(3, 2, RNG(11))
     x = Tensor(np.zeros((4, 3)))
