@@ -153,9 +153,9 @@ class Baseline(Module):
                 f"unknown baseline {kind!r}, expected one of {BASELINE_KINDS}")
         self.kind = kind
         self.config = config
+        self.input_hw = h, w = tuple(input_hw)
         rng = np.random.default_rng([int(seed), 0xBA5E])
         ch = config.baseline_channels
-        h, w = input_hw
         self.conv_w = _uniform(rng, (ch, 1, 2, 2), 4)
         self.conv_b = _uniform(rng, (1, ch, 1, 1), 4)
         h, w = _out_size(h, 2, 2, 2), _out_size(w, 2, 2, 2)    # conv
@@ -173,9 +173,10 @@ class Baseline(Module):
         self.dense2 = Linear(config.baseline_dense, config.classes, rng)
 
     def forward_logits(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != 1:
+        if x.ndim != 4 or x.shape[1:] != (1, *self.input_hw):
             raise ContractViolation(
-                f"baseline expects (B, 1, H, W) input, got {x.shape}")
+                f"baseline expects (B, 1, {self.input_hw[0]}, "
+                f"{self.input_hw[1]}) input, got {x.shape}")
         y = conv2d(x, self.conv_w, stride=2, padding=2) + self.conv_b
         y = max_pool2d(relu(y), 2, stride=2, padding=0)
         if self.kind == "cnn":

@@ -403,27 +403,58 @@ def _pad(a: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
-    # strided view (B, C, kh, kw, Ho, Wo) over the padded input
-    b, c = xp.shape[:2]
-    s0, s1, s2, s3 = xp.strides
-    shape = (b, c, kh, kw, ho, wo)
-    strides = (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw)
-    return np.lib.stride_tricks.as_strided(xp, shape, strides)
+COLUMN_BYTES = 8 << 20     # im2col columns built at a time for one conv
+
+
+def _columns(xp: np.ndarray, groups: int, geom) -> np.ndarray:
+    """(B, groups, cg*kh*kw, Ho*Wo) im2col columns of the padded map xp,
+    batch-major so that a (groups, og, cg*kh*kw) weight matrix times them is
+    already NCHW; a view of xp for a 1x1 stride-1 kernel."""
+    kh, kw, sh, sw, dh, dw, ho, wo = geom
+    (b, c), (s0, s1, s2, s3) = xp.shape[:2], xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (b, c, kh, kw, ho, wo), (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw)
+    ).reshape(b, groups, -1, ho * wo)
+
+
+def _correlate(xp: np.ndarray, wmat: np.ndarray, geom) -> np.ndarray:
+    """Grouped cross-correlation of the padded map xp with the weight matrix
+    wmat (groups, og, cg*kh*kw): (B, groups*og, Ho, Wo). A clip's GEMM reads
+    only its own columns, so they are built a few clips at a time, which
+    bounds the largest array a graph-free forward pass allocates."""
+    out = np.empty((len(xp), *wmat.shape[:2], geom[-2] * geom[-1]))
+    step = max(1, COLUMN_BYTES // (8 * wmat[:, 0].size * out.shape[-1]))
+    for lo in range(0, len(xp), step):
+        np.matmul(wmat, _columns(xp[lo:lo + step], len(wmat), geom),
+                  out=out[lo:lo + step])
+    return out.reshape(len(xp), -1, *geom[-2:])
+
+
+def _phases(n: int, k: int, s: int, p: int, d: int):
+    """The stride phases of one axis of a conv's input gradient: input cell
+    u = rho + s*m gets tap i, if i*d = rho + p (mod s), from output cell
+    m + (rho + p - i*d) / s. Returns q, the output gradient's padding, and
+    per phase with taps (rho, its taps as a slice from the last one down,
+    where the last tap's window starts, (n_taps, dilation, n_cells))."""
+    e, q = d // np.gcd(d, s), max(0, ((k - 1) * d - p + s - 1) // s)
+    taps = [[i for i in range(k) if (rho + p - i * d) % s == 0]
+            for rho in range(min(s, n))]
+    return q, [(rho, slice(t[-1], None, -s * e // d),
+                q + (rho + p - t[-1] * d) // s, (len(t), e, len(range(rho, n, s))))
+               for rho, t in enumerate(taps) if t]
 
 
 def _taps(a: np.ndarray, kh, kw, sh, sw, dh, dw, ho, wo):
-    """Yield (i, j, view) for each kernel tap: the (..., Ho, Wo) slice of
-    the padded map `a` that tap (i, j) reads."""
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, a[..., i * dh:i * dh + sh * (ho - 1) + 1:sh,
-                          j * dw:j * dw + sw * (wo - 1) + 1:sw]
+    """The (..., Ho, Wo) slice of the padded map `a` that each kernel tap
+    reads, in (i, j) order."""
+    return (a[..., i * dh:i * dh + sh * (ho - 1) + 1:sh,
+              j * dw:j * dw + sw * (wo - 1) + 1:sw]
+            for i in range(kh) for j in range(kw))
 
 
 def _tap_reduce(ufunc, a: np.ndarray, geom) -> np.ndarray:
     """ufunc folded over the tap views of `a` in (i, j) order."""
-    views = (view for _, _, view in _taps(a, *geom))
+    views = _taps(a, *geom)
     out = next(views).copy()
     for view in views:
         ufunc(out, view, out=out)
@@ -434,12 +465,13 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
            groups: int = 1) -> Tensor:
     """2-D cross-correlation. x: (B, Cin, H, W), w: (Cout, Cin/groups, kh, kw).
 
-    A depthwise convolution (one input and one output channel per group)
-    runs as a loop over kernel taps; every other one as a batch of im2col
-    GEMMs, one per clip and group, whose columns are the input itself for a
-    1x1 stride-1 convolution. Only parents with requires_grad get a
-    gradient. No bias term; the op catalog always follows a convolution
-    with a normalization layer, which absorbs any constant shift.
+    Forward, depthwise or not, is the grouped im2col GEMM of `_correlate`;
+    the weight gradient is the output gradient times the same columns, and
+    the input gradient `_correlate` of the output gradient with the flipped,
+    channel-swapped kernel, once per pair of stride phases (`_phases`). Only
+    parents with requires_grad get a gradient. No bias term; the op catalog
+    always follows a convolution with a normalization layer, which absorbs
+    any constant shift.
     """
     x, w = as_tensor(x), as_tensor(w)
     ph, pw = _pair(padding)
@@ -451,56 +483,32 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
             f"{w.shape} with groups={groups}")
     geom = _geometry("conv2d", (h, wd), (kh, kw), _pair(stride), (ph, pw),
                      _pair(dilation))
-    ho, wo = geom[-2:]
-    xp = _pad(x.data, ph, pw)
+    sh, sw, dh, dw = geom[2:6]
     og = cout // groups
-
-    def dx_of(dtap):
-        # scatter-add each tap's (B, groups, cg, Ho, Wo) input gradient back
-        # onto the padded map; a 1x1 stride-1 conv's one tap is the input
-        if geom[:4] == (1, 1, 1, 1) and xp is x.data:
-            return dtap(0, 0).reshape(x.shape)
-        dxp = np.zeros(xp.shape)
-        for i, j, view in _taps(dxp.reshape(bsz, groups, cg, *xp.shape[2:]),
-                                *geom):
-            view += dtap(i, j)
-        return dxp[:, :, ph:ph + h, pw:pw + wd]
-
-    if cg == 1 and cout == cin:
-        wk = w.data[:, 0, :, :, None, None]          # (C, kh, kw, 1, 1)
-        out = np.zeros((bsz, cout, ho, wo))
-        for i, j, view in _taps(xp, *geom):
-            out += view * wk[:, i, j]
-
-        def vjp(g):
-            dx = (dx_of(lambda i, j: (g * wk[:, i, j])[:, :, None])
-                  if x.requires_grad else None)
-            gw = None
-            if w.requires_grad:
-                gw = np.empty(w.shape)
-                for i, j, view in _taps(xp, *geom):
-                    gw[:, 0, i, j] = np.einsum("bchw,bchw->c", view, g)
-            return dx, gw
-
-        return Tensor._make(out, (x, w), vjp)
-
-    def columns():
-        # (B, groups, cg*kh*kw, Ho*Wo): one copy of the windows, batch-major
-        # so that wmat @ columns() is already NCHW
-        return _windows(xp, *geom).reshape(bsz, groups, cg * kh * kw, ho * wo)
-
-    wmat = w.data.reshape(groups, og, cg * kh * kw)
-    out = (wmat @ columns()).reshape(bsz, cout, ho, wo)
+    xp = _pad(x.data, ph, pw)
+    out = _correlate(xp, w.data.reshape(groups, og, -1), geom)
 
     def vjp(g):
-        gmat = g.reshape(bsz, groups, og, ho * wo)
         gw = dx = None
         if w.requires_grad:
-            gw = (gmat @ columns().swapaxes(-1, -2)).sum(axis=0).reshape(w.shape)
+            gw = (g.reshape(bsz, groups, og, -1) @ _columns(xp, groups, geom)
+                  .swapaxes(-1, -2)).sum(axis=0).reshape(w.shape)
         if x.requires_grad:
-            dcols = (wmat.swapaxes(-1, -2) @ gmat).reshape(
-                bsz, groups, cg, kh, kw, ho, wo)
-            dx = dx_of(lambda i, j: dcols[:, :, :, i, j])
+            wt = w.data.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)
+            (qh, rows), (qw, cols) = (_phases(h, kh, sh, ph, dh),
+                                      _phases(wd, kw, sw, pw, dw))
+            gp = _pad(g, qh, qw)
+            # stride 1 has one phase, the whole map; else tapless ones stay 0
+            dx = None if (sh, sw) == (1, 1) else np.zeros(x.shape)
+            for rh, th, ch, (nh, eh, mh) in rows:
+                for rw, tw, cw, (nw, ew, mw) in cols:
+                    part = _correlate(gp[..., ch:, cw:],
+                                      wt[..., th, tw].reshape(groups, cg, -1),
+                                      (nh, nw, 1, 1, eh, ew, mh, mw))
+                    if dx is None:
+                        dx = part
+                    else:
+                        dx[..., rh::sh, rw::sw] = part
         return dx, gw
 
     return Tensor._make(out, (x, w), vjp)
@@ -524,7 +532,7 @@ def max_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor
         # a masked write), so the earliest such tap is the one left
         first = np.zeros(out.shape, np.min_scalar_type(kernel * kernel - 1))
         hit = np.empty(out.shape, dtype=bool)
-        for k, (_, _, view) in reversed(list(enumerate(_taps(xp, *geom)))):
+        for k, view in reversed(list(enumerate(_taps(xp, *geom)))):
             first -= (first - k) * np.equal(view, out, out=hit)
         # the padded map's flat index of that tap; np.bincount adds the
         # windows' gradients there in window order
@@ -551,7 +559,7 @@ def avg_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor
     def vjp(g):
         gd = g / counts
         dxp = np.zeros(xp.shape)
-        for _, _, dview in _taps(dxp, *geom):
+        for dview in _taps(dxp, *geom):
             dview += gd
         return (dxp[:, :, padding:padding + h, padding:padding + wd],)
 

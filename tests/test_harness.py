@@ -3,6 +3,7 @@ and the CSV writers."""
 
 import csv
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -190,6 +191,18 @@ class TestBaseline:
     def test_unknown_kind(self):
         with pytest.raises(ContractViolation):
             Baseline("mlp", self._cfg(), 0, (16, 16))
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("shape", [(2, 1, 12, 12), (2, 1, 16, 12),
+                                       (2, 2, 16, 16), (1, 16, 16)])
+    def test_rejects_input_that_is_not_input_hw(self, kind, shape):
+        # the cnn kind used to fail in numpy's matmul, the LSTM kinds on
+        # the LSTM weight shapes; now every kind names both sizes
+        cfg = self._cfg(baseline_lstm=8, baseline_dense=8)
+        model = Baseline(kind, cfg, seed=4, input_hw=(16, 16))
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"expects (B, 1, 16, 16) input, got {shape}")):
+            model.forward_logits(Tensor(np.zeros(shape)))
 
     def test_trains_with_shared_loop(self):
         cfg = self._cfg(baseline_lstm=8, baseline_dense=8, epochs=2,

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import emodarts.tensor as tensor_module
 from emodarts import (ContractViolation, GraphReuseError, Tensor,
                       avg_pool2d, batch_norm, concat, conv2d, cross_entropy,
                       dropout, finite_diff_grad, max_pool2d, relu, softmax,
@@ -255,9 +256,32 @@ def test_conv2d_strided_dilated_grouped_against_finite_differences():
     check_close(wt.grad, fd(lambda v: make(x, v)[2].item(), w))
 
 
+def test_conv2d_stride_3_dilated_grouped_matches_finite_differences():
+    # The loss is linear in x and in w, so central differences are exact up
+    # to rounding at any step, and a step of 1 keeps that rounding small.
+    # With stride 3 and dilation 2, an axis's 5 taps split into phases of
+    # one and of two taps; a phase's two taps are 3 apart, so they read the
+    # output gradient at dilation 2.
+    rng = np.random.default_rng(16)
+    x, w = rng.normal(size=(2, 4, 11, 10)), rng.normal(size=(6, 2, 5, 5))
+    args = dict(stride=3, padding=2, dilation=2, groups=2)
+    g = rng.normal(size=conv2d(Tensor(x), Tensor(w), **args).shape)
+
+    def loss(xv, wv):
+        return float((conv2d(Tensor(xv), Tensor(wv), **args).data * g).sum())
+
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    (conv2d(xt, wt, **args) * Tensor(g)).sum().backward()
+    for got, want in ((xt.grad, finite_diff_grad(lambda v: loss(v, w), x, 1.0)),
+                      (wt.grad, finite_diff_grad(lambda v: loss(x, v), w, 1.0))):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def _einsum_conv2d(x, w, g, stride, padding, dilation, groups):
-    """The earlier einsum kernel, kept as the reference for the tap-loop
-    and im2col kernels: returns (out, dx, gweight) for upstream g."""
+    """The earlier einsum kernel, kept as the reference for the im2col
+    correlation kernel (forward, and the input gradient by stride phase):
+    returns (out, dx, gweight) for upstream g. Its input gradient scatters
+    each tap's share back onto the padded map."""
     (sh, sw), (ph, pw), (dh, dw) = stride, padding, dilation
     bsz, cin, h, wd = x.shape
     cout, cg, kh, kw = w.shape
@@ -299,9 +323,28 @@ CONV_CASES = {
                                      (2, 2), (1, 1), 1),
     "groups 2, 2 channels each": ((2, 4, 9, 9), (6, 2, 3, 3), (1, 1), (1, 1),
                                   (1, 1), 2),
-    # one input channel per group but two outputs: the GEMM path
+    # one input channel per group but two outputs
     "channel multiplier": ((2, 4, 9, 9), (8, 1, 3, 3), (1, 1), (1, 1),
                            (1, 1), 4),
+    "channel multiplier s2": ((2, 4, 9, 9), (8, 1, 3, 3), (2, 2), (1, 1),
+                              (1, 1), 4),
+    # the input gradient's stride phases: 3 x 3 of them, with one or two
+    # of the 5 row taps and one of the 3 column taps each
+    "stride 3": ((2, 4, 11, 10), (4, 4, 5, 3), (3, 3), (2, 1), (1, 1), 1),
+    # every tap of a dilation-2 kernel lands on even padded cells, so three
+    # of the four stride-2 phases get no tap and their cells no gradient
+    "dilation 2 at stride 2": ((2, 4, 10, 10), (4, 4, 3, 3), (2, 2), (1, 1),
+                               (2, 2), 1),
+    # no window reaches the last row of the 11-row map or the last column
+    # of the 9-column one
+    "odd map, last row unread": ((2, 4, 11, 9), (4, 4, 2, 2), (2, 2), (0, 0),
+                                 (1, 1), 1),
+    "stride 1, padding 0": ((2, 4, 9, 9), (5, 4, 3, 3), (1, 1), (0, 0),
+                            (1, 1), 1),
+    # padding beyond d(k-1)/2: the output is larger than the input, and the
+    # outer output cells read only padding
+    "padding past the kernel reach": ((2, 4, 7, 7), (4, 4, 3, 3), (1, 1),
+                                      (3, 4), (1, 1), 1),
 }
 
 
@@ -320,6 +363,27 @@ def test_conv2d_matches_the_einsum_reference(name):
     for got, want in zip((out.data, xt.grad, wt.grad), ref):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["dilated 5x5 s2", "depthwise 5x5 s1",
+                                  "pointwise", "channel multiplier s2"])
+def test_conv2d_gives_the_same_bits_with_columns_built_clip_by_clip(
+        name, monkeypatch):
+    # a clip's GEMM reads only its own columns, so building them in chunks
+    # of clips (here one at a time) must not change a bit of any result
+    xshape, wshape, stride, padding, dilation, groups = CONV_CASES[name]
+    rng = np.random.default_rng(5)
+    x, w = rng.normal(size=(5, *xshape[1:])), rng.normal(size=wshape)
+    args = dict(stride=stride, padding=padding, dilation=dilation,
+                groups=groups)
+    runs = []
+    for cap in (2 ** 40, 1):
+        monkeypatch.setattr(tensor_module, "COLUMN_BYTES", cap)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, **args)
+        runs.append((out.data, *out._vjp(np.cos(out.data))))
+    for whole, chunked in zip(*runs):
+        assert whole.tobytes() == chunked.tobytes()
 
 
 @pytest.mark.parametrize("name", ["dense 3x3", "depthwise 5x5 s2"])
