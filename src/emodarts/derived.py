@@ -125,6 +125,8 @@ def evaluate(model: DerivedModel, split, batch_size: int = 64):
     """(UA, WA) on a labeled split, in eval mode with every parameter
     frozen, so no autodiff graph is built. The training flag and
     requires_grad are restored however the call ends."""
+    if batch_size < 1:
+        raise ContractViolation(f"evaluate wants batch_size >= 1, got {batch_size}")
     x, y = _as_xy(split, "evaluation")
     was_training, preds = model.training, []
     # params() skips frozen tensors: it is walked once, before the freeze

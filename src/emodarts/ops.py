@@ -272,9 +272,10 @@ def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     before the cell's time loop, and dx, dW and db as GEMMs after it, all
     over rows in (t, b) order. `loop(xz, wh)` gets the projection
     (K, T, B, G*H) and the state weights (K, H, G*H), and returns the
-    output and back(g), which maps the output's gradient, made time-major
-    (T, K, B, H), to the one at the gate pre-activations (K, T, B, G*H).
-    Only parents with requires_grad get a gradient."""
+    output and back(g, wh), which, given the state weights again, maps the
+    output's gradient, made time-major (T, K, B, H), to the one at the gate
+    pre-activations (K, T, B, G*H). Only parents with requires_grad get a
+    gradient."""
     gates, loop = _RECURRENT_TABLE[cell]
     xd, wd, bd = x.data, w.data, b.data
     single = wd.ndim == 2
@@ -293,15 +294,20 @@ def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"{cell}_seq weight {w.shape} and bias {b.shape} do not match "
             f"input {x.shape}")
     bsz, tlen = xd.shape[-3:-1]
-    x2 = np.swapaxes(xd, -3, -2).reshape(*xd.shape[:-3], tlen * bsz, feat)
-    wx, wh = wd[:, :feat], np.ascontiguousarray(wd[:, feat:])
-    xz = x2 @ wx
+
+    def time_major():   # x as (t, b) rows; backward rebuilds it, not keeps it
+        return np.swapaxes(xd, -3, -2).reshape(*xd.shape[:-3], tlen * bsz, feat)
+
+    wx, wh = wd[:, :feat], wd[:, feat:]
+    xz = time_major() @ wx
     xz += bd[:, None]
-    hs, back = loop(xz.reshape(k, tlen, bsz, cols), wh)
+    hs, back = loop(xz.reshape(k, tlen, bsz, cols), np.ascontiguousarray(wh))
 
     def vjp(g):
         g = g[None] if single else g
-        dz = back(np.ascontiguousarray(g.transpose(2, 0, 1, 3)))
+        # a K > 1 state block is copied contiguous again, not kept
+        dz = back(np.ascontiguousarray(g.transpose(2, 0, 1, 3)),
+                  np.ascontiguousarray(wh))
         dz = dz.reshape(k, tlen * bsz, cols)
         dx = dw = db = None
         if x.requires_grad:
@@ -311,7 +317,7 @@ def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             dx = np.swapaxes(dx, -3, -2)
         if w.requires_grad:
             dw = np.empty((k, rows, cols))
-            dw[:, :feat] = np.swapaxes(x2, -1, -2) @ dz
+            dw[:, :feat] = np.swapaxes(time_major(), -1, -2) @ dz
             # h_{t-1} meets dz_t; h_{-1} = 0
             hprev = np.ascontiguousarray(hs[:, :, :-1].swapaxes(1, 2))
             dw[:, feat:] = (hprev.reshape(k, -1, hid).transpose(0, 2, 1)
@@ -332,7 +338,7 @@ def _rnn_loop(xz, wh):
         z = xz[:, t] + hs[:, :, t - 1] @ wh if t else xz[:, 0]
         np.tanh(z, out=hs[:, :, t])
 
-    def back(g):
+    def back(g, wh):
         whT = wh.transpose(0, 2, 1)
         dz = np.empty((k, tlen, bsz, hid))
         dh = np.zeros((k, bsz, hid))
@@ -347,31 +353,33 @@ def _rnn_loop(xz, wh):
 def _lstm_loop(xz, wh):
     # gate order input, forget, cell, output; zero initial state; hs is
     # the (K, B, T, H) output. Gate values and cell states are kept
-    # time-major, so that backward reads one contiguous block per step.
+    # time-major, so that backward reads one contiguous block per step;
+    # backward recomputes tanh(c_t) rather than keep it.
     k, tlen, bsz, cols = xz.shape
     hid = cols // 4
     cell = slice(2 * hid, 3 * hid)
     acts = np.empty((tlen, k, bsz, cols))      # gate values
     cs = np.empty((tlen, k, bsz, hid))
-    tcs = np.empty_like(cs)
     hs = np.empty((k, bsz, tlen, hid))
     c = np.zeros((k, bsz, hid))
+    e = np.empty((k, bsz, cols))
     for t in range(tlen):
         a = np.add(xz[:, t], hs[:, :, t - 1] @ wh if t else 0.0, out=acts[t])
         gc = np.tanh(a[..., cell])
-        a[:] = 1.0 / (1.0 + np.exp(-a))     # one sigmoid over all gates
+        np.exp(np.negative(a, out=e), out=e)    # one sigmoid over all gates,
+        np.divide(1.0, np.add(e, 1.0, out=e), out=a)    # 1 / (1 + exp(-a))
         a[..., cell] = gc
         c = np.add(a[..., hid:2 * hid] * c, a[..., :hid] * gc, out=cs[t])
-        np.multiply(a[..., 3 * hid:], np.tanh(c, out=tcs[t]), out=hs[:, :, t])
+        np.multiply(a[..., 3 * hid:], np.tanh(c), out=hs[:, :, t])
 
-    def back(g):
+    def back(g, wh):
         whT = wh.transpose(0, 2, 1)
         dz = np.empty((k, tlen, bsz, cols))
         d = np.empty((k, bsz, cols))
         dh = np.zeros((k, bsz, hid))
         dc = np.zeros((k, bsz, hid))
         for t in range(tlen - 1, -1, -1):
-            a, tc = acts[t], tcs[t]
+            a, tc = acts[t], np.tanh(cs[t])
             gi, gf, gc, go = (a[..., n * hid:(n + 1) * hid] for n in range(4))
             dht = g[t] + dh
             dc += dht * go * (1.0 - tc * tc)

@@ -136,7 +136,8 @@ class Tensor:
         a, b = self, as_tensor(other)
         return Tensor._make(
             a.data + b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+            lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                       _unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
     __radd__ = __add__
 
@@ -150,8 +151,10 @@ class Tensor:
         a, b = self, as_tensor(other)
         return Tensor._make(
             a.data * b.data, (a, b),
-            lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                       _unbroadcast(g * a.data, b.data.shape)))
+            lambda g: (_unbroadcast(g * b.data, a.data.shape)
+                       if a.requires_grad else None,
+                       _unbroadcast(g * a.data, b.data.shape)
+                       if b.requires_grad else None))
 
     __rmul__ = __mul__
 
@@ -469,9 +472,10 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
     the weight gradient is the output gradient times the same columns, and
     the input gradient `_correlate` of the output gradient with the flipped,
     channel-swapped kernel, once per pair of stride phases (`_phases`). Only
-    parents with requires_grad get a gradient. No bias term; the op catalog
-    always follows a convolution with a normalization layer, which absorbs
-    any constant shift.
+    parents with requires_grad get a gradient. The node keeps no padded
+    copy of x: the weight gradient pads x.data again. No bias term; the op
+    catalog always follows a convolution with a normalization layer, which
+    absorbs any constant shift.
     """
     x, w = as_tensor(x), as_tensor(w)
     ph, pw = _pair(padding)
@@ -485,12 +489,12 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
                      _pair(dilation))
     sh, sw, dh, dw = geom[2:6]
     og = cout // groups
-    xp = _pad(x.data, ph, pw)
-    out = _correlate(xp, w.data.reshape(groups, og, -1), geom)
+    out = _correlate(_pad(x.data, ph, pw), w.data.reshape(groups, og, -1), geom)
 
     def vjp(g):
         gw = dx = None
         if w.requires_grad:
+            xp = _pad(x.data, ph, pw)
             gw = (g.reshape(bsz, groups, og, -1) @ _columns(xp, groups, geom)
                   .swapaxes(-1, -2)).sum(axis=0).reshape(w.shape)
         if x.requires_grad:
@@ -517,16 +521,16 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
 def max_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor:
     """Max pooling; padded cells never win (they are filled with -inf). A
     window's gradient goes to its first tap, in (i, j) order, that holds
-    the maximum."""
+    the maximum; backward pads x.data again to find that tap."""
     x = as_tensor(x)
     sh, sw = _pair(stride)
     c, h, wd = x.shape[1:]
     geom = _geometry("max_pool2d", (h, wd), (kernel, kernel), (sh, sw),
                      (padding, padding), pool=True)
-    xp = _pad(x.data, padding, padding, -np.inf)
-    out = _tap_reduce(np.maximum, xp, geom)
+    out = _tap_reduce(np.maximum, _pad(x.data, padding, padding, -np.inf), geom)
 
     def vjp(g):
+        xp = _pad(x.data, padding, padding, -np.inf)
         # each window's first maximal tap: scan the taps backwards and set
         # first = k wherever tap k holds the maximum (an integer step, not
         # a masked write), so the earliest such tap is the one left
@@ -551,14 +555,13 @@ def avg_pool2d(x: Tensor, kernel: int = 3, stride=1, padding: int = 1) -> Tensor
     h, wd = x.shape[2:]
     geom = _geometry("avg_pool2d", (h, wd), (kernel, kernel), _pair(stride),
                      (padding, padding), pool=True)
-    xp = _pad(x.data, padding, padding)
     counts = _tap_reduce(np.add, _pad(np.ones((h, wd)), padding, padding), geom)
-    out = _tap_reduce(np.add, xp, geom)
+    out = _tap_reduce(np.add, _pad(x.data, padding, padding), geom)
     out /= counts
 
     def vjp(g):
         gd = g / counts
-        dxp = np.zeros(xp.shape)
+        dxp = np.zeros((*x.shape[:2], h + 2 * padding, wd + 2 * padding))
         for dview in _taps(dxp, *geom):
             dview += gd
         return (dxp[:, :, padding:padding + h, padding:padding + wd],)

@@ -93,6 +93,25 @@ def rounds(roots: dict, argv_of, n: int) -> list[dict]:
     return out
 
 
+def perfbench_pairs(roots: dict, better: dict, seed: int, pairs: int) -> dict:
+    """Per workload, `pairs` rounds of `perfbench/run.py --seconds 25
+    --trace 0` at seeds seed .. seed + pairs - 1, and every end-to-end
+    metric compared."""
+    seeds = [seed + i for i in range(pairs)]
+    doc = {}
+    for workload in WORKLOADS:
+        # run.py exits non-zero, which stops this script, unless the run
+        # is correct with no failed operation
+        runs = rounds(roots, lambda i: [
+            "perfbench/run.py", "--workload", workload, "--seed",
+            str(seeds[i]), "--seconds", "25", "--trace", "0"], pairs)
+        doc[workload] = {"seeds": seeds, **{
+            m: compare([r["parent"]["metrics"][m]["value"] for r in runs],
+                       [r["change"]["metrics"][m]["value"] for r in runs], b)
+            for m, b in better.items()}}
+    return doc
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv == ["--measure"]:
@@ -118,17 +137,7 @@ def main(argv=None) -> int:
                             [r["change"][geometry][kernel] for r in runs],
                             "lower")
             for kernel in KERNELS}
-    seeds = [SEED + 1 + i for i in range(PAIRS)]
-    for workload in WORKLOADS:
-        # run.py exits non-zero, which stops this script, unless the run
-        # is correct with no failed operation
-        runs = rounds(roots, lambda i: [
-            "perfbench/run.py", "--workload", workload, "--seed",
-            str(seeds[i]), "--seconds", "25", "--trace", "0"], PAIRS)
-        doc["perfbench"][workload] = {"seeds": seeds, **{
-            m: compare([r["parent"]["metrics"][m]["value"] for r in runs],
-                       [r["change"]["metrics"][m]["value"] for r in runs], b)
-            for m, b in better.items()}}
+    doc["perfbench"] = perfbench_pairs(roots, better, SEED + 1, PAIRS)
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

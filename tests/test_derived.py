@@ -223,6 +223,12 @@ def test_evaluate_scores_the_argmax_of_graph_logits(make):
     assert scores == (ua_metric(y, preds), wa_metric(y, preds))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    with pytest.raises(ContractViolation, match="batch_size >= 1"):
+        evaluate(_derived_model(23), blobs(8, 24), batch_size=batch_size)
+
+
 def test_evaluate_forward_builds_no_graph(monkeypatch):
     model = _derived_model(21)
     outs = []

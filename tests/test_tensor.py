@@ -5,6 +5,7 @@ eps 1e-4), compared at rtol 1e-3 / atol 1e-5. Hand-derived closed forms are
 asserted exactly where they exist.
 """
 
+import operator
 import re
 
 import numpy as np
@@ -412,15 +413,29 @@ def test_conv2d_computes_no_gradient_for_a_frozen_parent(name):
                                     ((5,), (5, 3)), ((4, 5), (5,))],
                          ids=["matrix", "batched", "vector-left", "vector-right"])
 def test_matmul_computes_no_gradient_for_a_frozen_parent(shapes):
-    rng = np.random.default_rng(4)
+    check_frozen_parent(operator.matmul, shapes, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul],
+                         ids=["add", "mul"])
+@pytest.mark.parametrize("shapes", [((4, 5), (4, 5)), ((2, 4, 5), (5,)),
+                                    ((3, 2), ())],
+                         ids=["same", "broadcast", "scalar"])
+def test_add_and_mul_compute_no_gradient_for_a_frozen_parent(op, shapes):
+    check_frozen_parent(op, shapes, np.random.default_rng(5))
+
+
+def check_frozen_parent(op, shapes, rng):
+    """op(a, b)'s vjp returns None for a frozen operand, and the other
+    operand's gradient is the one it gets when both require one."""
     a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
     at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    g = rng.normal(size=(at @ bt).shape)
-    ((at @ bt) * Tensor(g)).sum().backward()
+    g = rng.normal(size=op(at, bt).shape)
+    (op(at, bt) * Tensor(g)).sum().backward()
     for frozen in ("a", "b"):
         fa = Tensor(a, requires_grad=frozen != "a")
         fb = Tensor(b, requires_grad=frozen != "b")
-        out = fa @ fb
+        out = op(fa, fb)
         ga, gb = out._vjp(g)
         assert (ga is None) == (frozen == "a") and (gb is None) == (frozen == "b")
         (out * Tensor(g)).sum().backward()
