@@ -7,7 +7,8 @@ cell has an edge from every earlier node to every intermediate node; each
 edge holds one instance of every candidate op in the scope, and its output
 is the softmax(alpha)-weighted sum of all candidates. A discrete cell keeps
 only a genome's retained edges, one op each. In both forms a node's value
-is the sum of its incoming edge outputs.
+is the sum of its incoming edge outputs. A CNN cell computes one ReLU per
+source node, which every ReLU-first op on the edges leaving it reads.
 
 CNN cells concatenate the intermediate nodes along channels (output width
 B * channels); SeqNN cells average them elementwise (width stays hidden).
@@ -21,9 +22,9 @@ import numpy as np
 
 from .artifacts import is_int
 from .errors import ContractViolation
-from .ops import (PASSIVE_OPS, Module, build_cnn_op, build_seq_op,
-                  run_candidates)
-from .tensor import Tensor, _mix, concat, softmax
+from .ops import (PASSIVE_OPS, Module, ReLUFirst, build_cnn_op, build_seq_op,
+                  run_candidates, run_op)
+from .tensor import Tensor, _mix, concat, relu, softmax
 
 __all__ = ["MixedEdge", "Cell", "num_edges", "augment_scope",
            "discretize_edge", "cell_edges", "edge_stride", "component_key",
@@ -100,17 +101,18 @@ def check_retained(edges, b: int, ops) -> list[dict]:
 
 class MixedEdge(Module):
     """All candidates of one edge; forward mixes them with softmax weights.
-    The recurrent candidates of a SeqNN edge run in lockstep
-    (ops.run_candidates)."""
+    The recurrent candidates of a SeqNN edge run in lockstep, and given
+    r = relu(x) the ReLU-first ones read it (ops.run_candidates)."""
 
     def __init__(self, ops: list[Module]):
         self.ops = ops
 
-    def forward(self, x: Tensor, alpha: Tensor) -> Tensor:
+    def forward(self, x: Tensor, alpha: Tensor,
+                r: Tensor | None = None) -> Tensor:
         if alpha.shape != (len(self.ops),):
             raise ContractViolation(
                 f"edge got {len(self.ops)} candidates but alpha {alpha.shape}")
-        return _mix(softmax(alpha, axis=0), run_candidates(self.ops, x))
+        return _mix(softmax(alpha, axis=0), run_candidates(self.ops, x, r))
 
 
 class Cell(Module):
@@ -154,6 +156,10 @@ class Cell(Module):
             self.edge_index = cell_edges(b, num_inputs)  # (from_node, to_node)
             self.edges = [MixedEdge([op(name, i) for name in self.scope])
                           for i, _ in self.edge_index]
+        # the source nodes that a ReLU-first op on a leaving edge reads
+        self.rectified = {i for (i, _), e in zip(self.edge_index, self.edges)
+                          for o in (e.ops if isinstance(e, MixedEdge) else [e])
+                          if isinstance(o, ReLUFirst)}
 
     def _check_input(self, x: Tensor, pos: int) -> None:
         cnn = self.kind == "cnn"
@@ -175,10 +181,13 @@ class Cell(Module):
             raise ContractViolation(
                 f"got alpha table rows {rows}: a search cell takes one row "
                 f"per edge ({len(self.edges)}), a discrete cell no table")
-        states = list(inputs)
+        states, relus = list(inputs), {}
         for k, ((i, j), edge) in enumerate(zip(self.edge_index, self.edges)):
-            x = states[i]
-            out = edge(x) if alphas is None else edge(x, alphas[k])
+            x = states[i]   # complete: edges come in to_node order
+            if i in self.rectified and i not in relus:
+                relus[i] = relu(x)
+            r = relus.get(i)
+            out = run_op(edge, x, r) if alphas is None else edge(x, alphas[k], r)
             if j < len(states):
                 states[j] = states[j] + out
             else:

@@ -145,7 +145,8 @@ def evaluate(model: DerivedModel, split, batch_size: int = 64):
 # ---- checkpoints ----
 
 def _state_arrays(model: DerivedModel) -> list[np.ndarray]:
-    return [p.data for p in model.params()] + list(model.buffers())
+    # frozen parameters too: the payload layout must not depend on them
+    return [p.data for p in model.params(frozen=True)] + list(model.buffers())
 
 
 def save_checkpoint(model: DerivedModel, path) -> None:

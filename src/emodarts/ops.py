@@ -15,14 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import (Tensor, avg_pool2d, batch_norm, conv2d, max_pool2d,
-                     relu, softmax, stack, tanh)
+from .tensor import (Tensor, avg_pool2d, batch_norm, conv2d, conv2d_norm,
+                     max_pool2d, relu, softmax, tanh)
 
 __all__ = [
     "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear", "ReLUConvNorm",
     "RecurrentLayer", "AdditiveAttention", "rnn_seq", "lstm_seq",
     "build_cnn_op", "build_seq_op", "count_params", "PASSIVE_OPS",
-    "run_candidates",
+    "ReLUFirst", "run_op", "run_candidates",
 ]
 
 _CNN_TABLE = {
@@ -68,13 +68,15 @@ class Module:
         for v in vars(self).values():
             yield from walk(v)
 
-    def params(self) -> list[Tensor]:
+    def params(self, frozen: bool = False) -> list[Tensor]:
+        """The parameter tensors that require a gradient, in declaration
+        order; with frozen=True, every parameter tensor."""
         out = []
         for v in self._members():
-            if isinstance(v, Tensor) and v.requires_grad:
+            if isinstance(v, Tensor) and (frozen or v.requires_grad):
                 out.append(v)
             elif isinstance(v, Module):
-                out.extend(v.params())
+                out.extend(v.params(frozen))
         return out
 
     def buffers(self) -> list[np.ndarray]:
@@ -115,7 +117,8 @@ class BatchNorm2d(Module):
     shift per channel, `x * scale + shift`, with scale = γ/sqrt(running
     var + eps) and shift = β - running mean * scale. The affine γ/β is
     optional: search-time supernets run with it disabled, derived models
-    enable it.
+    enable it. `conv` fuses a convolution into the same graph node
+    (`tensor.conv2d_norm`).
     """
 
     eps = 1e-5
@@ -123,6 +126,7 @@ class BatchNorm2d(Module):
 
     def __init__(self, channels: int, affine: bool):
         self.affine = bool(affine)
+        self.gamma = self.beta = None
         if self.affine:
             self.gamma = Tensor(np.ones((1, channels, 1, 1)), requires_grad=True)
             self.beta = Tensor(np.zeros((1, channels, 1, 1)), requires_grad=True)
@@ -132,18 +136,22 @@ class BatchNorm2d(Module):
     def buffers(self):
         return [self.running_mean, self.running_var]
 
+    def _apply(self, fn, *args, **kwargs) -> Tensor:
+        y, mean, var = fn(*args, **kwargs, gamma=self.gamma, beta=self.beta,
+                          eps=self.eps,
+                          stats=None if self.training else
+                          (self.running_mean, self.running_var))
+        if self.training:
+            self.running_mean += self.momentum * (mean - self.running_mean)
+            self.running_var += self.momentum * (var - self.running_var)
+        return y
+
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training:
-            # (1, C, 1, 1) ops, so x takes two full-size passes
-            scale = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
-            if self.affine:
-                scale = scale * self.gamma
-            shift = Tensor(-self.running_mean) * scale
-            return x * scale + (shift + self.beta if self.affine else shift)
-        y, mean, var = batch_norm(x, axes=(0, 2, 3), eps=self.eps)
-        self.running_mean += self.momentum * (mean - self.running_mean)
-        self.running_var += self.momentum * (var - self.running_var)
-        return y * self.gamma + self.beta if self.affine else y
+        return self._apply(batch_norm, x, (0, 2, 3))
+
+    def conv(self, x: Tensor, w: Tensor, **conv_args) -> Tensor:
+        """This norm of conv2d(x, w, **conv_args), as one graph node."""
+        return self._apply(conv2d_norm, x, w, **conv_args)
 
 
 class Linear(Module):
@@ -167,7 +175,19 @@ class _PoolOp(Module):
         return pool(x, kernel=3, stride=self.stride, padding=1)
 
 
-class ReLUConvNorm(Module):
+class ReLUFirst(Module):
+    """An op whose first step is a ReLU of its input. `rectified(r)` runs
+    the rest on r = relu(x), so that a cell computes one ReLU per source
+    node for every such op on the edges that leave it."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.rectified(relu(x))
+
+    def rectified(self, r: Tensor) -> Tensor:
+        raise NotImplementedError
+
+
+class ReLUConvNorm(ReLUFirst):
     """ReLU, dense kxk convolution, norm: a dil_conv candidate (dilation 2)
     or, at the defaults, a cell's 1x1 projection adapter."""
 
@@ -181,13 +201,12 @@ class ReLUConvNorm(Module):
                                cin * kernel * kernel)
         self.norm = BatchNorm2d(cout, affine)
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = conv2d(relu(x), self.weight, stride=self.stride, padding=self.pad,
-                   dilation=self.dilation)
-        return self.norm(h)
+    def rectified(self, r: Tensor) -> Tensor:
+        return self.norm.conv(r, self.weight, stride=self.stride,
+                              padding=self.pad, dilation=self.dilation)
 
 
-class SepConv(Module):
+class SepConv(ReLUFirst):
     """Two stacked (ReLU, depthwise kxk, pointwise 1x1, norm) blocks;
     the stride applies in the first block only."""
 
@@ -204,16 +223,16 @@ class SepConv(Module):
             for _ in range(2)]
         self.norms = [BatchNorm2d(channels, affine) for _ in range(2)]
 
-    def forward(self, x: Tensor) -> Tensor:
-        for dw, pw, norm, s in zip(self.depthwise, self.pointwise,
-                                   self.norms, self.strides):
-            x = conv2d(relu(x), dw, stride=s,
+    def rectified(self, r: Tensor) -> Tensor:
+        for k, (dw, pw, norm, s) in enumerate(zip(
+                self.depthwise, self.pointwise, self.norms, self.strides)):
+            h = conv2d(r if k == 0 else relu(r), dw, stride=s,
                        padding=kernel_pad(self.kernel), groups=self.channels)
-            x = norm(conv2d(x, pw))
-        return x
+            r = norm.conv(h, pw)
+        return r
 
 
-class Conv7x1_1x7(Module):
+class Conv7x1_1x7(ReLUFirst):
     """ReLU, 7x1 convolution, 1x7 convolution, norm. A strided edge splits
     the stride across the two passes: (s, 1) then (1, s)."""
 
@@ -224,10 +243,10 @@ class Conv7x1_1x7(Module):
         self.w_row = _uniform(rng, (channels, channels, 1, 7), channels * 7)
         self.norm = BatchNorm2d(channels, affine)
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = conv2d(relu(x), self.w_col, stride=(self.stride, 1), padding=(3, 0))
-        h = conv2d(h, self.w_row, stride=(1, self.stride), padding=(0, 3))
-        return self.norm(h)
+    def rectified(self, r: Tensor) -> Tensor:
+        h = conv2d(r, self.w_col, stride=(self.stride, 1), padding=(3, 0))
+        return self.norm.conv(h, self.w_row, stride=(1, self.stride),
+                              padding=(0, 3))
 
 
 class SkipConnect(Module):
@@ -245,14 +264,15 @@ class SkipConnect(Module):
 
 class NoneOp(Module):
     """Constant zeros of the post-stride shape, striding the last two axes
-    (also the SeqNN none); gradients stop here."""
+    (also the SeqNN none); gradients stop here. The zeros are one read-only
+    broadcast scalar, not an allocated array."""
 
     def __init__(self, stride: int):
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
         s = self.stride
-        return Tensor(np.zeros(x.data[..., ::s, ::s].shape))
+        return Tensor(np.broadcast_to(0.0, x.data[..., ::s, ::s].shape))
 
 
 def kernel_pad(kernel: int, dilation: int = 1) -> int:
@@ -262,9 +282,11 @@ def kernel_pad(kernel: int, dilation: int = 1) -> int:
 
 # ---- SeqNN candidate ops ----
 
-def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _recurrence(cell: str, x: Tensor, w, b) -> Tensor:
     """The frame both recurrences share; `cell` keys _RECURRENT_TABLE.
-    w is (K, F+H, G*H) and b (K, G*H) for K layers in lockstep; x is
+    w is (K, F+H, G*H) and b (K, G*H) for K layers in lockstep, or w and b
+    are lists of the K layers' (F+H, G*H) and (G*H,) tensors, which are
+    stacked only as temporaries, in forward and again in backward; x is
     (B, T, F), shared by all K, or (K, B, T, F); the output (K, B, T, H).
     A 2-D w and 1-D b are the single-layer case, output (B, T, H).
 
@@ -277,10 +299,19 @@ def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     pre-activations (K, T, B, G*H). Only parents with requires_grad get a
     gradient."""
     gates, loop = _RECURRENT_TABLE[cell]
-    xd, wd, bd = x.data, w.data, b.data
-    single = wd.ndim == 2
-    if single:
-        wd, bd = wd[None], bd[None]
+    layered = isinstance(w, list)
+    ws, bs = (w, b) if layered else ([w], [b])
+    single = not layered and w.ndim == 2
+
+    def stacked(ts):    # (K, ...); a stacked copy is rebuilt, not kept
+        return (np.stack([t.data for t in ts]) if layered else
+                ts[0].data[None] if single else ts[0].data)
+
+    xd = x.data
+    try:
+        wd, bd = stacked(ws), stacked(bs)
+    except ValueError:  # no layers, or layers of unequal shapes
+        wd = bd = np.empty(0)
     shared = xd.ndim == 3
     fits = (wd.ndim == 3 and bd.shape == (wd.shape[0], wd.shape[2])
             and (shared or (xd.ndim == 4 and not single
@@ -291,19 +322,21 @@ def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         fits = hid > 0 and cols == gates * hid and rows == feat + hid
     if not fits:
         raise ContractViolation(
-            f"{cell}_seq weight {w.shape} and bias {b.shape} do not match "
-            f"input {x.shape}")
+            f"{cell}_seq weights {[t.shape for t in ws]} and biases "
+            f"{[t.shape for t in bs]} do not match input {x.shape}")
     bsz, tlen = xd.shape[-3:-1]
 
     def time_major():   # x as (t, b) rows; backward rebuilds it, not keeps it
         return np.swapaxes(xd, -3, -2).reshape(*xd.shape[:-3], tlen * bsz, feat)
 
-    wx, wh = wd[:, :feat], wd[:, feat:]
-    xz = time_major() @ wx
+    xz = time_major() @ wd[:, :feat]
     xz += bd[:, None]
-    hs, back = loop(xz.reshape(k, tlen, bsz, cols), np.ascontiguousarray(wh))
+    hs, back = loop(xz.reshape(k, tlen, bsz, cols),
+                    np.ascontiguousarray(wd[:, feat:]))
 
     def vjp(g):
+        wd = stacked(ws)
+        wx, wh = wd[:, :feat], wd[:, feat:]
         g = g[None] if single else g
         # a K > 1 state block is copied contiguous again, not kept
         dz = back(np.ascontiguousarray(g.transpose(2, 0, 1, 3)),
@@ -315,19 +348,23 @@ def _recurrence(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             dx = (dx.sum(axis=0) if shared else dx).reshape(
                 *xd.shape[:-3], tlen, bsz, feat)
             dx = np.swapaxes(dx, -3, -2)
-        if w.requires_grad:
+        if any(t.requires_grad for t in ws):
             dw = np.empty((k, rows, cols))
             dw[:, :feat] = np.swapaxes(time_major(), -1, -2) @ dz
             # h_{t-1} meets dz_t; h_{-1} = 0
             hprev = np.ascontiguousarray(hs[:, :, :-1].swapaxes(1, 2))
             dw[:, feat:] = (hprev.reshape(k, -1, hid).transpose(0, 2, 1)
                             @ dz[:, bsz:])
-            dw = dw.reshape(w.shape)
-        if b.requires_grad:
-            db = dz.sum(axis=1).reshape(b.shape)
-        return dx, dw, db
+        if any(t.requires_grad for t in bs):
+            db = dz.sum(axis=1)
+        return (dx, *per_tensor(dw, ws), *per_tensor(db, bs))
 
-    return Tensor._make(hs[0] if single else hs, (x, w, b), vjp)
+    def per_tensor(grad, ts):   # a (K, ...) gradient, one part per tensor
+        if grad is None:
+            return (None,) * len(ts)
+        return tuple(grad) if layered else (grad.reshape(ts[0].shape),)
+
+    return Tensor._make(hs[0] if single else hs, (x, *ws, *bs), vjp)
 
 
 def _rnn_loop(xz, wh):
@@ -468,10 +505,16 @@ class RecurrentStack(Module):
         return x if self.attention is None else self.attention(x)
 
 
-def run_candidates(ops, x: Tensor) -> list[Tensor]:
-    """[op(x) for op in ops], except that the RecurrentStacks of one cell
-    type run in lockstep: layer l of every stack at least l+1 deep is one
-    recurrence node over the stacked layer-l weights. Stacks go deepest
+def run_op(op: Module, x: Tensor, r: Tensor | None = None) -> Tensor:
+    """op(x); given r = relu(x), a ReLUFirst op reads r instead."""
+    return op.rectified(r) if r is not None and isinstance(op, ReLUFirst) \
+        else op(x)
+
+
+def run_candidates(ops, x: Tensor, r: Tensor | None = None) -> list[Tensor]:
+    """[run_op(op, x, r) for op in ops], except that the RecurrentStacks of
+    one cell type run in lockstep: layer l of every stack at least l+1 deep
+    is one recurrence node over the layer-l weights. Stacks go deepest
     first, so layer l+1's input is a prefix of layer l's output."""
     outs = {}
     for cell in _RECURRENT_TABLE:
@@ -481,8 +524,8 @@ def run_candidates(ops, x: Tensor) -> list[Tensor]:
         h, depth = x, 0
         while live:
             layers = [ops[k].layers[depth] for k in live]
-            h = _recurrence(cell, h, stack([layer.weight for layer in layers]),
-                            stack([layer.bias for layer in layers]))
+            h = _recurrence(cell, h, [layer.weight for layer in layers],
+                            [layer.bias for layer in layers])
             depth += 1
             for pos, k in enumerate(live):
                 if len(ops[k].layers) == depth:
@@ -490,7 +533,8 @@ def run_candidates(ops, x: Tensor) -> list[Tensor]:
             live = [k for k in live if len(ops[k].layers) > depth]
             if len(live) < h.shape[0]:
                 h = h[:len(live)]
-    return [outs[k] if k in outs else op(x) for k, op in enumerate(ops)]
+    return [outs[k] if k in outs else run_op(op, x, r)
+            for k, op in enumerate(ops)]
 
 
 # ---- factories ----

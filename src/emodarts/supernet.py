@@ -58,7 +58,7 @@ class Stem(Module):
         self.norm = BatchNorm2d(channels, affine)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.norm(conv2d(x, self.weight, padding=1))
+        return self.norm.conv(x, self.weight, padding=1)
 
 
 class FactorizedReduce(Module):

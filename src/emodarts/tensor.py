@@ -21,7 +21,8 @@ from .errors import ContractViolation, GraphReuseError
 __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "relu", "tanh", "softmax",
     "cross_entropy", "dropout",
-    "conv2d", "max_pool2d", "avg_pool2d", "batch_norm", "finite_diff_grad",
+    "conv2d", "conv2d_norm", "max_pool2d", "avg_pool2d", "batch_norm",
+    "finite_diff_grad",
 ]
 
 
@@ -475,7 +476,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
     parents with requires_grad get a gradient. The node keeps no padded
     copy of x: the weight gradient pads x.data again. No bias term; the op
     catalog always follows a convolution with a normalization layer, which
-    absorbs any constant shift.
+    absorbs any constant shift (`conv2d_norm`).
     """
     x, w = as_tensor(x), as_tensor(w)
     ph, pw = _pair(padding)
@@ -576,30 +577,93 @@ def _dot_over(a: np.ndarray, b: np.ndarray, axes: tuple) -> np.ndarray:
         a, dims, b, dims, [k for k in dims if k not in axes]), axes)
 
 
-def batch_norm(x: Tensor, axes: tuple, eps: float = 1e-5):
-    """Normalize x to zero mean, unit variance over `axes` (biased variance).
+def _norm(h: np.ndarray, parents: tuple, vjp, own: bool, axes: tuple,
+          gamma, beta, stats, eps: float):
+    """The norm of array h over `axes` as one node (see batch_norm). h came
+    from `parents` through `vjp`, which maps a gradient at h to one per
+    parent; the node overwrites h when it owns it."""
+    back = None
+    if stats is None:   # m = x̂, then y = m·γ + β
+        mean = h.mean(axis=axes, keepdims=True)
+        m = np.subtract(h, mean, out=h if own else None)
+        n = h.size // mean.size
+        var = _dot_over(m, m, axes) / n
+        inv = 1.0 / np.sqrt(var + eps)
+        m *= inv
+        a, b = gamma, beta
 
-    Returns (normalized Tensor, batch mean, batch variance); the caller owns
-    running-statistic bookkeeping and any affine transform.
+        def back(g):
+            gm = g.mean(axis=axes, keepdims=True)
+            gx = _dot_over(g, m, axes) / n
+            dx = g - m * gx
+            dx -= gm
+            dx *= inv
+            return dx
+    else:               # m = h, then y = m·scale + shift
+        m, (mean, var) = h, stats
+        a = Tensor(1.0 / np.sqrt(var + eps))
+        if gamma is not None:
+            a = a * gamma
+        b = Tensor(-mean) * a
+        if beta is not None:
+            b = b + beta
+    y, extra = m, ()
+    if a is not None:
+        # m stays for a's gradient or the norm's backward; else y takes it
+        free = own and back is None and not a.requires_grad
+        y = np.multiply(m, a.data, out=m if free else None)
+        y += b.data
+        extra = (a, b)
+    upstream = any(p.requires_grad for p in parents)
+
+    def node_vjp(g):
+        grads = ()
+        if extra:
+            grads = (_unbroadcast(g * m, a.shape) if a.requires_grad else None,
+                     _unbroadcast(g, b.shape) if b.requires_grad else None)
+            g = g * a.data
+        if not upstream:
+            return (None,) * len(parents) + grads
+        return (*vjp(g if back is None else back(g)), *grads)
+
+    return Tensor._make(y, parents + extra, node_vjp), mean, var
+
+
+def batch_norm(x: Tensor, axes: tuple, eps: float = 1e-5, *,
+               gamma: Tensor | None = None, beta: Tensor | None = None,
+               stats=None):
+    """Normalize x over `axes` as one node; x's array is read, never
+    written. Returns (y, mean, var).
+
+    With stats None (training), y = x̂·γ + β, where x̂ is x at zero mean and
+    unit biased variance over `axes`, and the returned mean and variance
+    are the batch's; the node keeps x̂ and, with γ/β, y. With stats =
+    (mean, var) (eval), y = x·scale + shift with scale = γ/sqrt(var + eps)
+    and shift = β − mean·scale, built as small nodes of the statistics'
+    shape. γ and β are optional tensors of that shape, both or neither.
+    The caller owns running-statistic bookkeeping.
     """
     x = as_tensor(x)
     axes = tuple(a % x.ndim for a in axes)
-    mean = x.data.mean(axis=axes, keepdims=True)
-    xhat = x.data - mean
-    n = x.data.size // mean.size
-    var = _dot_over(xhat, xhat, axes) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
+    return _norm(x.data, (x,), lambda g: (g,), False, axes, gamma, beta,
+                 stats, eps)
 
-    def vjp(g):
-        gm = g.mean(axis=axes, keepdims=True)
-        gx = _dot_over(g, xhat, axes) / n
-        dx = g - xhat * gx
-        dx -= gm
-        dx *= inv
-        return (dx,)
 
-    return Tensor._make(xhat, (x,), vjp), mean, var
+def conv2d_norm(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
+                groups: int = 1, *, gamma: Tensor | None = None,
+                beta: Tensor | None = None, stats=None, eps: float = 1e-5):
+    """conv2d(x, w, ...), then batch_norm of its output over (B, H, W), as
+    one node. Returns (y, mean, var). The node normalizes the conv's fresh
+    output h in place, and its vjp runs the norm's backward, then conv2d's.
+    No pre-norm map and no scaled copy stays in the graph: in training the
+    node keeps x̂ and, with γ/β, y; in eval it scales and shifts h in
+    place and keeps h only when the scale needs a gradient.
+    """
+    h = conv2d(x, w, stride, padding, dilation, groups)
+    # the conv node itself is dropped: the norm's node takes its output
+    # array, parents and vjp
+    return _norm(h.data, h._parents, h._vjp, True, (0, 2, 3), gamma, beta,
+                 stats, eps)
 
 
 # ---- the independent oracle ----

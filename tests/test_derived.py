@@ -265,6 +265,22 @@ def test_checkpoint_round_trip_restores_state(tmp_path):
                                   loaded(Tensor(x)).data)
 
 
+def test_checkpoint_keeps_frozen_parameters(tmp_path):
+    genome, cfg = searched_genome()
+    model = instantiate(genome, cfg, seed=13, input_hw=(16, 16))
+    train_derived(model, blobs(16, 14), cfg, epochs=1)
+    model.stem.weight.requires_grad = False
+    model.head.bias.requires_grad = False
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)[0]
+    x = rng(13).normal(size=(4, 1, 16, 16))
+    model.set_training(False)
+    loaded.set_training(False)
+    np.testing.assert_array_equal(model.forward_logits(Tensor(x)).data,
+                                  loaded.forward_logits(Tensor(x)).data)
+
+
 def test_checkpoint_header_is_single_json_line(tmp_path):
     genome, cfg = searched_genome()
     model = instantiate(genome, cfg, seed=12, input_hw=(16, 16))
