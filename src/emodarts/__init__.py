@@ -13,7 +13,7 @@ from .errors import (ContractViolation, DataError, EmodartsError,
                      GraphReuseError, NumericFault)
 from .tensor import (Tensor, as_tensor, avg_pool2d, batch_norm, concat,
                      conv2d, cross_entropy, dropout, finite_diff_grad,
-                     max_pool2d, relu, softmax, stack, tanh)
+                     max_pool2d, relu, softmax, tanh)
 from .optim import SGD, Adam, CosineSchedule, clip_grad_norm, cosine_lr
 from .ops import CNN_OPS, SEQNN_OPS, Module, count_params
 from .cell import Cell, MixedEdge, augment_scope, discretize_edge, num_edges

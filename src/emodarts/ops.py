@@ -282,13 +282,12 @@ def kernel_pad(kernel: int, dilation: int = 1) -> int:
 
 # ---- SeqNN candidate ops ----
 
-def _recurrence(cell: str, x: Tensor, w, b) -> Tensor:
+def _recurrence(cell: str, x: Tensor, ws: list, bs: list) -> Tensor:
     """The frame both recurrences share; `cell` keys _RECURRENT_TABLE.
-    w is (K, F+H, G*H) and b (K, G*H) for K layers in lockstep, or w and b
-    are lists of the K layers' (F+H, G*H) and (G*H,) tensors, which are
-    stacked only as temporaries, in forward and again in backward; x is
-    (B, T, F), shared by all K, or (K, B, T, F); the output (K, B, T, H).
-    A 2-D w and 1-D b are the single-layer case, output (B, T, H).
+    ws and bs are the K lockstep layers' (F+H, G*H) weight and (G*H,) bias
+    tensors. K > 1 of them are stacked only as temporaries, in forward and
+    again in backward, and K = 1 is a view; x is (B, T, F), shared by all
+    K, or (K, B, T, F); the output (K, B, T, H).
 
     The input projection x @ W_x + b runs as one GEMM over all steps
     before the cell's time loop, and dx, dW and db as GEMMs after it, all
@@ -299,23 +298,19 @@ def _recurrence(cell: str, x: Tensor, w, b) -> Tensor:
     pre-activations (K, T, B, G*H). Only parents with requires_grad get a
     gradient."""
     gates, loop = _RECURRENT_TABLE[cell]
-    layered = isinstance(w, list)
-    ws, bs = (w, b) if layered else ([w], [b])
-    single = not layered and w.ndim == 2
 
     def stacked(ts):    # (K, ...); a stacked copy is rebuilt, not kept
-        return (np.stack([t.data for t in ts]) if layered else
-                ts[0].data[None] if single else ts[0].data)
+        return ts[0].data[None] if len(ts) == 1 else \
+            np.stack([t.data for t in ts])
 
     xd = x.data
     try:
         wd, bd = stacked(ws), stacked(bs)
-    except ValueError:  # no layers, or layers of unequal shapes
+    except ValueError:    # no layers, or unequal shapes
         wd = bd = np.empty(0)
     shared = xd.ndim == 3
     fits = (wd.ndim == 3 and bd.shape == (wd.shape[0], wd.shape[2])
-            and (shared or (xd.ndim == 4 and not single
-                            and xd.shape[0] == wd.shape[0])))
+            and (shared or (xd.ndim == 4 and xd.shape[0] == wd.shape[0])))
     if fits:
         k, rows, cols = wd.shape
         hid, feat = cols // gates, xd.shape[-1]
@@ -337,12 +332,11 @@ def _recurrence(cell: str, x: Tensor, w, b) -> Tensor:
     def vjp(g):
         wd = stacked(ws)
         wx, wh = wd[:, :feat], wd[:, feat:]
-        g = g[None] if single else g
         # a K > 1 state block is copied contiguous again, not kept
         dz = back(np.ascontiguousarray(g.transpose(2, 0, 1, 3)),
                   np.ascontiguousarray(wh))
         dz = dz.reshape(k, tlen * bsz, cols)
-        dx = dw = db = None
+        dx, dw, db = None, (None,) * k, (None,) * k
         if x.requires_grad:
             dx = dz @ wx.transpose(0, 2, 1)
             dx = (dx.sum(axis=0) if shared else dx).reshape(
@@ -357,14 +351,18 @@ def _recurrence(cell: str, x: Tensor, w, b) -> Tensor:
                             @ dz[:, bsz:])
         if any(t.requires_grad for t in bs):
             db = dz.sum(axis=1)
-        return (dx, *per_tensor(dw, ws), *per_tensor(db, bs))
+        return (dx, *dw, *db)
 
-    def per_tensor(grad, ts):   # a (K, ...) gradient, one part per tensor
-        if grad is None:
-            return (None,) * len(ts)
-        return tuple(grad) if layered else (grad.reshape(ts[0].shape),)
+    return Tensor._make(hs, (x, *ws, *bs), vjp)
 
-    return Tensor._make(hs[0] if single else hs, (x, *ws, *bs), vjp)
+
+def _one_layer(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One (B, T, F) -> (B, T, H) layer: the K = 1 lockstep case, its K
+    axis dropped by a reshape, whose vjp copies nothing."""
+    if x.ndim != 3:
+        raise ContractViolation(f"{cell}_seq input {x.shape} is not (B, T, F)")
+    h = _recurrence(cell, x, [w], [b])
+    return h.reshape(h.shape[1:])
 
 
 def _rnn_loop(xz, wh):
@@ -440,17 +438,16 @@ _RECURRENT_TABLE = {"lstm": (4, _lstm_loop), "rnn": (1, _rnn_loop)}
 
 def rnn_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Unidirectional tanh recurrence with combined input+state weight
-    (F+H, H) and bias (H,), or K of them in lockstep (see _recurrence).
-    Backward is truncation-free backpropagation through time in one graph
-    node."""
-    return _recurrence("rnn", x, w, b)
+    (F+H, H) and bias (H,), the K = 1 case of _recurrence. Backward is
+    truncation-free backpropagation through time."""
+    return _one_layer("rnn", x, w, b)
 
 
 def lstm_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Unidirectional LSTM with combined weight (F+H, 4H) and a single
-    combined bias (4H,), gate order input, forget, cell, output, or K of
-    them in lockstep (see _recurrence)."""
-    return _recurrence("lstm", x, w, b)
+    combined bias (4H,), gate order input, forget, cell, output: the K = 1
+    case of _recurrence."""
+    return _one_layer("lstm", x, w, b)
 
 
 class RecurrentLayer(Module):
@@ -464,7 +461,7 @@ class RecurrentLayer(Module):
         self.bias = _uniform(rng, (cols,), feat + hidden)
 
     def forward(self, x: Tensor) -> Tensor:
-        return _recurrence(self.cell, x, self.weight, self.bias)
+        return _one_layer(self.cell, x, self.weight, self.bias)
 
 
 class AdditiveAttention(Module):

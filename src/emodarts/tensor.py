@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ContractViolation, GraphReuseError
 
 __all__ = [
-    "Tensor", "as_tensor", "concat", "stack", "relu", "tanh", "softmax",
+    "Tensor", "as_tensor", "concat", "relu", "tanh", "softmax",
     "cross_entropy", "dropout",
     "conv2d", "conv2d_norm", "max_pool2d", "avg_pool2d", "batch_norm",
     "finite_diff_grad",
@@ -263,16 +263,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             sl[axis] = slice(offsets[i], offsets[i + 1])
             grads.append(g[tuple(sl)])
         return tuple(grads)
-
-    return Tensor._make(out, tuple(ts), vjp)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in ts], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(ts)))
 
     return Tensor._make(out, tuple(ts), vjp)
 

@@ -1,0 +1,81 @@
+"""The A/B bench driver's statistics, alternation, cross-tree gap and
+report, checked on made-up numbers without running a tree."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import bench_ab
+from bench_ab import compare, max_rel_diff, report, rounds
+
+
+def test_importing_the_driver_loads_neither_the_library_nor_perfbench():
+    tree = ast.parse(pathlib.Path(bench_ab.__file__).read_text("utf-8"))
+    top = {alias.name.split(".")[0] for node in tree.body
+           if isinstance(node, ast.Import) for alias in node.names}
+    top |= {node.module.split(".")[0] for node in tree.body
+            if isinstance(node, ast.ImportFrom)}
+    assert not top & {"emodarts", "worker", "run", "checks", "layers"}
+
+
+def test_compare_counts_pairs_won_and_ties_for_neither_side():
+    base, change = [10.0, 10.0, 10.0, 10.0], [8.0, 9.0, 10.0, 11.0]
+    lower = compare(base, change, "lower")
+    assert lower["ratio_change_over_parent"] == pytest.approx(0.95)
+    assert lower["pairs_won_by_change"] == 2
+    assert compare(base, change, "higher")["pairs_won_by_change"] == 1
+    assert lower["parent"]["samples"] == base and lower["change"]["n"] == 4
+
+
+def test_compare_median_gap_against_the_parents_iqr():
+    base = [10.0, 11.0, 12.0, 13.0]          # median 11.5, IQR 1.5
+    assert compare(base, [8.0] * 4, "lower")["median_gap_exceeds_parent_iqr"]
+    assert not compare(base, [8.0] * 4,
+                       "higher")["median_gap_exceeds_parent_iqr"]
+    assert not compare(base, [10.5] * 4,
+                       "lower")["median_gap_exceeds_parent_iqr"]
+    assert compare(base, [13.5] * 4,
+                   "higher")["median_gap_exceeds_parent_iqr"]
+
+
+def test_rounds_alternate_the_arm_order():
+    calls = []
+
+    def runner(root, argv):
+        calls.append(root)
+        return argv
+
+    runs = rounds({"parent": "P", "change": "C"},
+                  lambda i, arm: [i, arm], 4, runner)
+    assert calls == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert runs == [{"parent": [i, "parent"], "change": [i, "change"]}
+                    for i in range(4)]
+
+
+def test_cross_tree_gap_is_the_largest_change_over_the_largest_parent():
+    parent = {"w/step/0": np.array([1.0, -4.0]), "w/step/1": np.array([2.0]),
+              "w/other/0": np.array([0.5])}
+    change = {"w/step/0": np.array([1.0, -3.5]), "w/step/1": np.array([2.1]),
+              "w/other/0": np.array([0.5])}
+    again = dict(change, **{"w/step/1": np.array([1.0])})
+    assert max_rel_diff([(parent, change)]) == {
+        "w": {"step": pytest.approx(0.5 / 4.0), "other": 0.0}}
+    assert max_rel_diff([(parent, change), (parent, again)])["w"]["step"] \
+        == pytest.approx(1.0 / 4.0)
+    assert max_rel_diff([]) == {}
+
+
+def test_report_compares_timed_fields_and_checks_the_others_agree():
+    def run(rate, digest):
+        return {"w": {"model": {"clips_per_s": rate, "sha": digest}}}
+
+    runs = [{"parent": run(10.0, "a"), "change": run(12.0, "a")},
+            {"parent": run(11.0, "a"), "change": run(9.0, "b")}]
+    row = report(runs, {"w": {"model": 0.25}})["w"]["model"]
+    assert row["clips_per_s"]["pairs_won_by_change"] == 1
+    assert row["clips_per_s"]["ratio_change_over_parent"] == 1.0
+    assert row["sha"] == {"parent": "a", "change": "a", "equal": False}
+    assert row["max_rel_diff"] == 0.25
+    assert "max_rel_diff" not in report(runs, {})["w"]["model"]

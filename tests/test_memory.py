@@ -26,7 +26,8 @@ import emodarts.ops
 from emodarts import (Cell, Tensor, avg_pool2d, conv2d, finite_diff_grad,
                       max_pool2d)
 from emodarts.ops import (CNN_OPS, Conv7x1_1x7, NoneOp, ReLUConvNorm, SepConv,
-                          build_seq_op, lstm_seq, rnn_seq, run_candidates)
+                          _recurrence, build_seq_op, lstm_seq, rnn_seq,
+                          run_candidates)
 from emodarts.supernet import Stem
 from emodarts.tensor import conv2d_norm, relu
 
@@ -93,21 +94,22 @@ def test_window_op_gradients_match_finite_differences(name):
 RECURRENCES = {"lstm": (lstm_seq, 4), "rnn": (rnn_seq, 1)}
 
 
-@pytest.mark.parametrize("layers", [(), (3,)], ids=["single", "lockstep"])
+@pytest.mark.parametrize("layers", [0, 3], ids=["single", "lockstep"])
 @pytest.mark.parametrize("cell", list(RECURRENCES))
 def test_recurrence_keeps_gates_states_and_output_only(cell, layers):
     op, gates = RECURRENCES[cell]
     bsz, tlen, feat, hid = 4, 16, 32, 32
     rng = np.random.default_rng(5)
     x = leaf(rng, bsz, tlen, feat)
-    w = leaf(rng, *layers, feat + hid, gates * hid)
-    b = leaf(rng, *layers, gates * hid)
-    kept, out = retained(lambda: op(x, w, b))
+    ws = [leaf(rng, feat + hid, gates * hid) for _ in range(max(layers, 1))]
+    bs = [leaf(rng, gates * hid) for _ in ws]
+    kept, out = retained(lambda: _recurrence(cell, x, ws, bs) if layers
+                         else op(x, ws[0], bs[0]))
     step = bsz * tlen * hid * 8          # one (B, T, H) float64 array
     # per layer the output, and for an LSTM its gate values and cell
     # states; not tanh(c) (another step), not the time-major copy of x
     # (x.nbytes) and not a contiguous copy of lockstep state weights
-    want = (1 if cell == "rnn" else 2 + gates) * step * int(np.prod(layers))
+    want = (1 if cell == "rnn" else 2 + gates) * step * len(ws)
     assert out.requires_grad and x.data.nbytes == step
     assert want <= kept < want + SLACK < want + step
 

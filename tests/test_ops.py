@@ -9,7 +9,7 @@ import pytest
 from emodarts import ContractViolation, Tensor, finite_diff_grad
 from emodarts.ops import (CNN_OPS, SEQNN_OPS, AdditiveAttention, BatchNorm2d,
                           Linear, build_cnn_op, build_seq_op, count_params,
-                          lstm_seq, rnn_seq)
+                          _recurrence, lstm_seq, rnn_seq)
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -311,11 +311,20 @@ def _lockstep_inputs(cell, k, shared, seed, bsz=2, tlen=4, feat=3, hid=2):
     return x, w, b
 
 
+def _lockstep(cell, x, w, b, grad=False):
+    """The kernel over per-layer tensors cut from (K, ...) arrays w and b:
+    (x, weights, biases) as Tensors, and the output."""
+    xt = Tensor(x, requires_grad=grad)
+    ws = [Tensor(v, requires_grad=grad) for v in w]
+    bs = [Tensor(v, requires_grad=grad) for v in b]
+    return (xt, ws, bs), _recurrence(cell, xt, ws, bs)
+
+
 @pytest.mark.parametrize("cell,k,shared", LOCKSTEP_CASES)
 def test_lockstep_kernel_matches_the_per_step_reference(cell, k, shared):
     x, w, b = _lockstep_inputs(cell, k, shared, seed=20 + k,
                                bsz=3, tlen=7, feat=5, hid=4)
-    out = KERNELS[cell][0](Tensor(x), Tensor(w), Tensor(b)).data
+    out = _lockstep(cell, x, w, b)[1].data
     ref = _reference_recurrence(cell, x, w, b)
     assert out.shape == ref.shape == (k, 3, 7, 4)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
@@ -323,61 +332,71 @@ def test_lockstep_kernel_matches_the_per_step_reference(cell, k, shared):
 
 @pytest.mark.parametrize("cell,k,shared", LOCKSTEP_CASES)
 def test_lockstep_kernel_gradients_match_oracle(cell, k, shared):
-    fn = KERNELS[cell][0]
     x0, w0, b0 = _lockstep_inputs(cell, k, shared, seed=30 + k)
     g = RNG(40 + k).normal(size=(k, 2, 4, 2))
 
     def loss(xv, wv, bv, grad=False):
-        ts = [Tensor(v, requires_grad=grad) for v in (xv, wv, bv)]
-        out = (fn(*ts) * Tensor(g)).sum()
-        return ts, out
+        ts, out = _lockstep(cell, xv, wv, bv, grad)
+        return ts, (out * Tensor(g)).sum()
 
-    ts, out = loss(x0, w0, b0, grad=True)
+    (xt, ws, bs), out = loss(x0, w0, b0, grad=True)
     out.backward()
+    grads = (xt.grad, np.stack([t.grad for t in ws]),
+             np.stack([t.grad for t in bs]))
     for pos, arr in enumerate((x0, w0, b0)):
         def f(v, pos=pos):
             args = [v if i == pos else a for i, a in enumerate((x0, w0, b0))]
             return loss(*args)[1].item()
         fd = finite_diff_grad(f, arr.copy(), eps=1e-5)
-        np.testing.assert_allclose(ts[pos].grad, fd, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(grads[pos], fd, rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("cell,k,shared", LOCKSTEP_CASES)
 def test_lockstep_kernel_skips_gradients_of_frozen_weights(cell, k, shared):
-    fn = KERNELS[cell][0]
     x, w, b = _lockstep_inputs(cell, k, shared, seed=50 + k)
     g = RNG(60 + k).normal(size=(k, 2, 4, 2))
-    live = [Tensor(v, requires_grad=True) for v in (x, w, b)]
-    (fn(*live) * Tensor(g)).sum().backward()
-    xt = Tensor(x, requires_grad=True)
-    wt, bt = Tensor(w), Tensor(b)
-    out = fn(xt, wt, bt)
-    dx, dw, db = out._vjp(g)
-    assert dw is None and db is None
+    (live, _, _), out = _lockstep(cell, x, w, b, grad=True)
     (out * Tensor(g)).sum().backward()
-    assert wt.grad is None and bt.grad is None
-    np.testing.assert_array_equal(xt.grad, live[0].grad)
-    np.testing.assert_array_equal(dx, live[0].grad)
+    xt = Tensor(x, requires_grad=True)
+    ws, bs = [Tensor(v) for v in w], [Tensor(v) for v in b]
+    out = _recurrence(cell, xt, ws, bs)
+    dx, *frozen = out._vjp(g)
+    assert len(frozen) == 2 * k and all(d is None for d in frozen)
+    (out * Tensor(g)).sum().backward()
+    assert all(t.grad is None for t in ws + bs)
+    np.testing.assert_array_equal(xt.grad, live.grad)
+    np.testing.assert_array_equal(dx, live.grad)
 
 
 def test_single_layer_call_is_the_k1_case():
     x, w, b = _lockstep_inputs("lstm", 1, True, seed=70)
     single = lstm_seq(Tensor(x), Tensor(w[0]), Tensor(b[0])).data
     np.testing.assert_array_equal(
-        single, lstm_seq(Tensor(x), Tensor(w), Tensor(b)).data[0])
+        single, _lockstep("lstm", x, w, b)[1].data[0])
 
 
 def test_lockstep_kernel_rejects_mismatched_shapes():
     x, w, b = _lockstep_inputs("rnn", 2, False, seed=71)
-    bad = [(x[:1], w, b),          # one input for two layers
-           (x, w, b[:1]),          # one bias for two layers
-           (x, w[:, 1:], b),       # rows != F + H
-           (x, w[0], b[0])]        # one layer given per-layer inputs
-    for args in bad:
+    layers = [Tensor(v) for v in w]
+    biases = [Tensor(v) for v in b]
+    bad = [("rnn", x[:1], layers, biases),          # one input for two layers
+           ("rnn", x, layers, biases[:1]),          # one bias for two layers
+           ("rnn", x, [Tensor(v) for v in w[:, 1:]], biases),  # rows != F+H
+           ("rnn", x, [layers[0], Tensor(w[1, 1:])], biases),  # unequal
+           ("rnn", x, [], []),                      # no layers
+           ("lstm", x, layers, biases),             # fewer than four gates
+           ("lstm", x, [Tensor(np.zeros((5, 9)))] * 2,  # 4H + 1 columns,
+            [Tensor(np.zeros(9))] * 2)]                 # H = 2 = 5 - F
+    for cell, xv, ws, bs in bad:
+        with pytest.raises(ContractViolation):
+            _recurrence(cell, Tensor(xv), ws, bs)
+    for args in [(x, w[0], b[0]),          # one layer given per-layer inputs
+                 (x[:1], w[0], b[0]),      # one layer given a layer axis
+                 (x[0], w[0, 1:], b[0])]:  # one layer, rows != F + H
         with pytest.raises(ContractViolation):
             rnn_seq(*map(Tensor, args))
-    with pytest.raises(ContractViolation):   # not four gate blocks
-        lstm_seq(Tensor(x), Tensor(w), Tensor(b))
+    with pytest.raises(ContractViolation):   # one layer, not four gate blocks
+        lstm_seq(Tensor(x[0]), Tensor(w[0]), Tensor(b[0]))
 
 
 def test_full_scope_edge_in_lockstep_matches_the_per_candidate_sum():

@@ -18,7 +18,7 @@ import emodarts.tensor as tensor_module
 from emodarts import (ContractViolation, GraphReuseError, Tensor,
                       avg_pool2d, batch_norm, concat, conv2d, cross_entropy,
                       dropout, finite_diff_grad, max_pool2d, relu, softmax,
-                      stack, tanh)
+                      tanh)
 from emodarts.tensor import _mix
 
 RTOL, ATOL = 1e-3, 1e-5
@@ -169,15 +169,14 @@ def test_batched_matmul_against_finite_differences():
     check_close(t.grad, fd(f, a))
 
 
-def test_concat_stack_getitem_against_finite_differences():
+def test_concat_getitem_against_finite_differences():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(3, 4))
 
     def build(av):
         t = Tensor(av, requires_grad=True)
         parts = concat([t, t * 2.0], axis=1)          # (3, 8)
-        piled = stack([parts, parts], axis=0)         # (2, 3, 8)
-        return t, (piled[:, 1:, ::2] * 1.5).sum()
+        return t, (parts[1:, ::2] * 1.5).sum()
 
     t, out = build(a)
     out.backward()
