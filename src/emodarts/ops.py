@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import (Tensor, avg_pool2d, batch_norm, conv2d, conv2d_norm,
-                     max_pool2d, relu, softmax, tanh)
+from .tensor import (Tensor, _matmul_grads, _unbroadcast, avg_pool2d,
+                     batch_norm, conv2d, conv2d_norm, max_pool2d, relu,
+                     softmax, tanh)
 
 __all__ = [
     "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear", "ReLUConvNorm",
@@ -155,12 +156,20 @@ class BatchNorm2d(Module):
 
 
 class Linear(Module):
+    """x @ W + b as one node that keeps only its output: b is added in
+    place, and the vjp is the add's, then the matmul's."""
+
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
         self.weight = _uniform(rng, (fan_in, fan_out), fan_in)
         self.bias = _uniform(rng, (fan_out,), fan_in)
 
     def forward(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        w, b = self.weight, self.bias
+        out = x.data @ w.data
+        out += b.data
+        return Tensor._make(out, (x, w, b), lambda g: (
+            *_matmul_grads(x, w, g),
+            _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 # ---- CNN candidate ops ----
@@ -387,14 +396,14 @@ def _rnn_loop(xz, wh):
 
 def _lstm_loop(xz, wh):
     # gate order input, forget, cell, output; zero initial state; hs is
-    # the (K, B, T, H) output. Gate values and cell states are kept
-    # time-major, so that backward reads one contiguous block per step;
-    # backward recomputes tanh(c_t) rather than keep it.
+    # the (K, B, T, H) output. Gate values are kept time-major, so that
+    # backward reads one contiguous block per step; backward rebuilds the
+    # cell states from them with forward's own expression, and tanh(c_t),
+    # rather than keep them.
     k, tlen, bsz, cols = xz.shape
     hid = cols // 4
     cell = slice(2 * hid, 3 * hid)
     acts = np.empty((tlen, k, bsz, cols))      # gate values
-    cs = np.empty((tlen, k, bsz, hid))
     hs = np.empty((k, bsz, tlen, hid))
     c = np.zeros((k, bsz, hid))
     e = np.empty((k, bsz, cols))
@@ -404,10 +413,15 @@ def _lstm_loop(xz, wh):
         np.exp(np.negative(a, out=e), out=e)    # one sigmoid over all gates,
         np.divide(1.0, np.add(e, 1.0, out=e), out=a)    # 1 / (1 + exp(-a))
         a[..., cell] = gc
-        c = np.add(a[..., hid:2 * hid] * c, a[..., :hid] * gc, out=cs[t])
+        np.add(a[..., hid:2 * hid] * c, a[..., :hid] * gc, out=c)
         np.multiply(a[..., 3 * hid:], np.tanh(c), out=hs[:, :, t])
 
     def back(g, wh):
+        cs = np.empty((tlen, k, bsz, hid))      # the cell states, rebuilt
+        c = np.zeros((k, bsz, hid))
+        for t, a in enumerate(acts):
+            c = np.add(a[..., hid:2 * hid] * c, a[..., :hid] * a[..., cell],
+                       out=cs[t])
         whT = wh.transpose(0, 2, 1)
         dz = np.empty((k, tlen, bsz, cols))
         d = np.empty((k, bsz, cols))
@@ -475,11 +489,30 @@ class AdditiveAttention(Module):
         self.v = _uniform(rng, (hidden, 1), hidden)
 
     def scores(self, h: Tensor) -> Tensor:
-        e = tanh(self.proj(h)) @ self.v   # (B, T, 1)
-        return softmax(e, axis=1)
+        # tanh(h W + b) as one node: tanh's output, the projection's
+        # parents, and tanh's vjp, then the projection's; the projection's
+        # array is freed here, not kept until backward
+        p = self.proj(h)
+        t = tanh(p)
+        back, tback = p._vjp, t._vjp
+        e = Tensor._make(t.data, p._parents, lambda g: back(*tback(g)))
+        return softmax(e @ self.v, axis=1)    # (B, T, 1)
 
     def forward(self, h: Tensor) -> Tensor:
-        return self.scores(h) * h * float(h.shape[1])
+        """a * h * T as one node whose vjp scales g by T first, as the
+        two products it replaces did."""
+        a, scale = self.scores(h), float(h.shape[1])
+        out = a.data * h.data
+        out *= scale
+
+        def vjp(g):
+            g = g * scale
+            return (_unbroadcast(g * h.data, a.shape) if a.requires_grad
+                    else None,
+                    _unbroadcast(g * a.data, h.shape) if h.requires_grad
+                    else None)
+
+        return Tensor._make(out, (a, h), vjp)
 
 
 class RecurrentStack(Module):

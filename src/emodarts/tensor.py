@@ -37,6 +37,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+class _Part:
+    """A basic-slice read's gradient: g at `key` of its parent's shape and
+    zero elsewhere. backward adds it into a buffer it owns, so a parent
+    read many times gets one zero-filled array, not one per read."""
+
+    __slots__ = ("key", "g")
+
+    def __init__(self, key, g: np.ndarray):
+        self.key, self.g = key, g
+
+
+def _contiguous(a) -> bool:
+    """a is a C-contiguous array, not a numpy scalar."""
+    return isinstance(a, np.ndarray) and a.flags.c_contiguous
+
+
+def _matmul_grads(a: "Tensor", b: "Tensor", g: np.ndarray) -> tuple:
+    """The gradients of a.data @ b.data at output gradient g: lift a 1-D
+    operand to a matrix as numpy does and drop the axis after. Only an
+    operand with requires_grad gets one."""
+    ad, bd = a.data, b.data
+    if bd.ndim == 1:
+        bd, g = bd[:, None], g[..., None]
+    if ad.ndim == 1:
+        ad, g = ad[None], g[..., None, :]
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2),
+                          ad.shape).reshape(a.data.shape)
+    if b.requires_grad:
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g,
+                          bd.shape).reshape(b.data.shape)
+    return ga, gb
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")
 
@@ -111,9 +146,18 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
+        # pending sums each parent's gradient. It adds in place only into
+        # a C-contiguous array that backward allocated (owned): a vjp may
+        # return a view, and a sum over other layouts may lay its result
+        # out otherwise, which changes the order of a later reduction. A
+        # basic-slice read adds its share into one owned zero-filled
+        # buffer per parent; while that buffer holds no -0.0 (owned[k]
+        # True), this gives the bits that a zero-filled array per read did.
         pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=np.float64)}
+        owned: dict[int, bool] = {}
         for node in reversed(order):
             g = pending.pop(id(node), None)
+            owned.pop(id(node), None)
             if g is None:
                 continue
             if node._vjp is None:
@@ -123,10 +167,24 @@ class Tensor:
                 if pg is None or not p.requires_grad:
                     continue
                 k = id(p)
-                if k in pending:
-                    pending[k] = pending[k] + pg
+                total = pending.get(k)
+                if isinstance(pg, _Part):
+                    if (owned.get(k) and _contiguous(total)
+                            and _contiguous(p.data)):
+                        total[pg.key] += pg.g
+                    else:
+                        part = np.zeros_like(p.data)
+                        part[pg.key] += pg.g
+                        total = part if total is None else total + part
+                        owned[k] = True
+                elif total is None:
+                    total = pg
+                elif k in owned and _contiguous(total) and _contiguous(pg):
+                    total += pg
                 else:
-                    pending[k] = pg
+                    total = total + pg
+                    owned[k] = owned.get(k, False)
+                pending[k] = total
             node._consumed = True
             node._parents = ()
             node._vjp = None
@@ -161,42 +219,24 @@ class Tensor:
 
     def __matmul__(self, other):
         a, b = self, as_tensor(other)
-        out = a.data @ b.data
-
-        def vjp(g):
-            # lift a 1-D operand to a matrix as numpy does; drop the axis
-            # after. Only an operand with requires_grad gets a gradient.
-            ad, bd = a.data, b.data
-            if bd.ndim == 1:
-                bd, g = bd[:, None], g[..., None]
-            if ad.ndim == 1:
-                ad, g = ad[None], g[..., None, :]
-            ga = gb = None
-            if a.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2),
-                                  ad.shape).reshape(a.data.shape)
-            if b.requires_grad:
-                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g,
-                                  bd.shape).reshape(b.data.shape)
-            return ga, gb
-
-        return Tensor._make(out, (a, b), vjp)
+        return Tensor._make(a.data @ b.data, (a, b),
+                            lambda g: _matmul_grads(a, b, g))
 
     def __getitem__(self, key):
         a = self
         out = a.data[key]
 
         # an index array may repeat an entry, and each repeat must add its
-        # share; slices and ints keep the faster in-place add
+        # share; a basic key's share is added by backward into one buffer
+        # per parent
         fancy = any(isinstance(k, (list, np.ndarray))
                     for k in (key if isinstance(key, tuple) else (key,)))
 
         def vjp(g):
+            if not fancy:
+                return (_Part(key, g),)
             dx = np.zeros_like(a.data)
-            if fancy:
-                np.add.at(dx, key, g)
-            else:
-                dx[key] += g
+            np.add.at(dx, key, g)
             return (dx,)
 
         return Tensor._make(out, (a,), vjp)

@@ -45,6 +45,7 @@ BETTER = {"fwd_ms": "lower", "dx_ms": "lower", "dw_ms": "lower",
           "clips_per_s": "higher"}
 PAPER_HW = (128, 128)
 PAPER_LIMIT_GB = 5
+TOP_SITES = 8            # allocation sites listed per traced forward pass
 
 
 # ---- probes ----
@@ -124,12 +125,13 @@ def graph(ctx, arrays, *, seed=60, rounds=1, eval_clips=64,
     (weights frozen), as `search` runs them, and one training step of the
     workload's derived model. With tracemalloc on, each records the MB
     still allocated when the forward pass ends, which is what the graph
-    holds until backward, the peak over forward and backward, and a sha256
-    of its gradients, which are set aside. Also the graph of an eval-mode
-    forward pass of the derived model, with a graph, over `eval_clips`
-    test clips, as perfbench's check phase builds one. After the rounds,
-    each tree runs `paper_scale` once per batch size in `paper_batches`,
-    each in a new process."""
+    holds until backward, the TOP_SITES allocation sites (file:line) that
+    hold the most of it and their MB, the peak over forward and backward,
+    and a sha256 of its gradients, which are set aside. Also the graph of
+    an eval-mode forward pass of the derived model, with a graph, over
+    `eval_clips` test clips, as perfbench's check phase builds one. After
+    the rounds, each tree runs `paper_scale` once per batch size in
+    `paper_batches`, each in a new process."""
     from emodarts import Tensor, cross_entropy, instantiate
     from emodarts.search import _frozen
 
@@ -143,18 +145,19 @@ def graph(ctx, arrays, *, seed=60, rounds=1, eval_clips=64,
     out = {}
     for name, (model, learned, frozen) in steps.items():
         with _frozen(frozen):
-            _, held, peak = traced(lambda: cross_entropy(model.forward_logits(
-                Tensor(xb[:, None])), yb), lambda loss: loss.backward())
+            _, held, peak, top = traced(
+                lambda: cross_entropy(model.forward_logits(
+                    Tensor(xb[:, None])), yb), lambda loss: loss.backward())
         arrays[name] = [p.grad for p in learned]
         digest = hashlib.sha256()
         for p in learned:
             digest.update(np.ascontiguousarray(p.grad).tobytes())
             p.grad = None
-        out[name] = {"forward_mb": held, "peak_mb": peak,
-                     "grad_sha256": digest.hexdigest()}
+        out[name] = {"forward_mb": held, "forward_sites_mb": top,
+                     "peak_mb": peak, "grad_sha256": digest.hexdigest()}
     x_test = ctx.dataset.split(ctx.fold.test_idx[:eval_clips])[0]
     derived.set_training(False)
-    logits, held, _ = traced(lambda: derived.forward_logits(
+    logits, held, _, _ = traced(lambda: derived.forward_logits(
         Tensor(x_test[:, None])))
     assert logits.requires_grad
     out["derived_eval_graph"] = {"forward_mb": held}
@@ -163,18 +166,31 @@ def graph(ctx, arrays, *, seed=60, rounds=1, eval_clips=64,
 
 def traced(forward, backward=lambda out: None) -> tuple:
     """(forward(), the MB still allocated when it returns, the peak MB over
-    it and backward(its result)), under tracemalloc."""
+    it and backward(its result), and sites(), the sites that hold the most
+    of what forward() left allocated), under tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = forward()
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
+        found = sites()
+        tracemalloc.reset_peak()    # the snapshot's own bytes are gone
         backward(out)
-        peak = tracemalloc.get_traced_memory()[1] - before
-        return out, held / MB, peak / MB
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
+        return out, (held - before) / MB, (peak - before) / MB, found
     finally:
         tracemalloc.stop()
+
+
+def sites(n=TOP_SITES) -> list:
+    """[file:line, MB] of the n allocation sites, by the innermost frame,
+    that hold the most traced bytes now, largest first; a file is named by
+    its directory and name (a numpy function written in Python, such as
+    np.zeros_like, names its own file)."""
+    stats = tracemalloc.take_snapshot().statistics("lineno")[:n]
+    return [[f"{'/'.join(Path(s.traceback[0].filename).parts[-2:])}:"
+             f"{s.traceback[0].lineno}", s.size / MB] for s in stats]
 
 
 def paper_scale(batch: int) -> dict:

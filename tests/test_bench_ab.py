@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bench_ab
-from bench_ab import compare, max_rel_diff, report, rounds
+from bench_ab import TOP_SITES, compare, max_rel_diff, report, rounds, traced
 
 
 def test_importing_the_driver_loads_neither_the_library_nor_perfbench():
@@ -79,3 +79,18 @@ def test_report_compares_timed_fields_and_checks_the_others_agree():
     assert row["sha"] == {"parent": "a", "change": "a", "equal": False}
     assert row["max_rel_diff"] == 0.25
     assert "max_rel_diff" not in report(runs, {})["w"]["model"]
+
+
+def test_traced_names_the_sites_that_hold_what_forward_left():
+    def forward():
+        big = [np.arange(100_000.0) for _ in range(3)]
+        small = np.arange(50_000.0)
+        return big, small
+
+    out, held, peak, sites = traced(forward, lambda out: out[0].clear())
+    here = "tests/test_bench_ab.py:"
+    assert len(sites) <= TOP_SITES
+    assert [site[0].startswith(here) for site in sites[:2]] == [True, True]
+    assert sites[0][1] == pytest.approx(2.4, rel=0.01)     # 3 x 800 kB
+    assert sites[1][1] == pytest.approx(0.4, rel=0.01)
+    assert held == pytest.approx(2.8, rel=0.01) and peak >= held

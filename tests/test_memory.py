@@ -5,16 +5,20 @@ the output Tensor, and reads with tracemalloc the bytes still allocated.
 The inputs are allocated before tracing starts, so what is counted is the
 output and whatever the op's vector-Jacobian closure holds. A window op
 must not keep a padded copy of its input, and a recurrence must keep its
-gate values, cell states and output but not tanh(c), a copy of x, a
-contiguous copy of lockstep state weights or the stacked lockstep weights:
-those are rebuilt from arrays that the graph holds anyway. A none op
-allocates no zeros. A conv that feeds a norm is one node that keeps no
-pre-norm map and no scaled copy, and a CNN cell rectifies each source
-node once. The gradients of the same ops are checked against
-finite_diff_grad.
+gate values and output but not the LSTM cell states, tanh(c), a copy of
+x, a contiguous copy of lockstep state weights or the stacked lockstep
+weights: those are rebuilt from arrays that the graph holds anyway. A
+none op allocates no zeros. A conv that feeds a norm is one node that
+keeps no pre-norm map and no scaled copy, and a CNN cell rectifies each
+source node once. A Linear keeps its output only, and attention two
+(B, T, H) maps. Backward adds the slice reads of one parent into one
+zero-filled buffer. The gradients of the same ops are checked against
+finite_diff_grad, and the one-node forms against the Tensor-op chains
+they replace, bit for bit.
 """
 
 import gc
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -25,11 +29,11 @@ import emodarts.cell
 import emodarts.ops
 from emodarts import (Cell, Tensor, avg_pool2d, conv2d, finite_diff_grad,
                       max_pool2d)
-from emodarts.ops import (CNN_OPS, Conv7x1_1x7, NoneOp, ReLUConvNorm, SepConv,
-                          _recurrence, build_seq_op, lstm_seq, rnn_seq,
-                          run_candidates)
+from emodarts.ops import (CNN_OPS, AdditiveAttention, Conv7x1_1x7, Linear,
+                          NoneOp, ReLUConvNorm, SepConv, _recurrence,
+                          build_seq_op, lstm_seq, rnn_seq, run_candidates)
 from emodarts.supernet import Stem
-from emodarts.tensor import conv2d_norm, relu
+from emodarts.tensor import concat, conv2d_norm, relu, softmax, tanh
 
 SLACK = 8192      # bytes: Tensor and closure objects, small arrays
 
@@ -106,10 +110,10 @@ def test_recurrence_keeps_gates_states_and_output_only(cell, layers):
     kept, out = retained(lambda: _recurrence(cell, x, ws, bs) if layers
                          else op(x, ws[0], bs[0]))
     step = bsz * tlen * hid * 8          # one (B, T, H) float64 array
-    # per layer the output, and for an LSTM its gate values and cell
-    # states; not tanh(c) (another step), not the time-major copy of x
+    # per layer the output, and for an LSTM its gate values; not the cell
+    # states or tanh(c) (a step each), not the time-major copy of x
     # (x.nbytes) and not a contiguous copy of lockstep state weights
-    want = (1 if cell == "rnn" else 2 + gates) * step * len(ws)
+    want = (1 if cell == "rnn" else 1 + gates) * step * len(ws)
     assert out.requires_grad and x.data.nbytes == step
     assert want <= kept < want + SLACK < want + step
 
@@ -141,7 +145,7 @@ def test_lockstep_recurrence_keeps_no_stacked_weights():
     kept, outs = retained(lambda: run_candidates(ops, x))
     step = bsz * tlen * hid * 8
     stacked = sum(p.data.nbytes for op in ops for p in op.params())
-    want = 3 * (2 + 4) * step      # one lockstep node over three layers
+    want = 3 * (1 + 4) * step      # one lockstep node over three layers
     assert all(o.requires_grad for o in outs) and stacked > step
     assert want <= kept < want + SLACK
 
@@ -263,3 +267,199 @@ def test_conv_norm_gradients_match_finite_differences(case, affine, mode):
         np.testing.assert_allclose(leaves[i].grad,
                                    finite_diff_grad(loss, arr.copy()),
                                    rtol=1e-5, atol=1e-7)
+
+
+# ---- the SeqNN graph: cell states, Linear, attention, slice reads ----
+
+def arrays_held(fn) -> list:
+    """The ndarrays that closure `fn` holds, through the closures it holds."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                found.append(v)
+            elif hasattr(v, "__closure__"):
+                todo.append(v)
+    return found
+
+
+def test_lockstep_lstm_node_keeps_no_cell_states():
+    bsz, tlen, feat, hid, k = 2, 5, 6, 4, 3     # distinct sizes
+    rng = np.random.default_rng(13)
+    x = leaf(rng, bsz, tlen, feat)
+    ws = [leaf(rng, feat + hid, 4 * hid) for _ in range(k)]
+    bs = [leaf(rng, 4 * hid) for _ in ws]
+    out = _recurrence("lstm", x, ws, bs)
+    held = {a.shape for a in arrays_held(out._vjp)}
+    assert (tlen, k, bsz, 4 * hid) in held        # the gate values
+    assert (tlen, k, bsz, hid) not in held        # no cell states
+
+
+@pytest.mark.parametrize("lead", [(64,), (8, 16)], ids=["2d", "3d"])
+def test_linear_keeps_one_output_sized_array(lead):
+    rng = np.random.default_rng(14)
+    lin = Linear(48, 40, rng)
+    x = leaf(rng, *lead, 48)
+    kept, out = retained(lambda: lin(x))
+    assert out.requires_grad and out.shape == (*lead, 40)
+    assert out.data.nbytes <= kept < out.data.nbytes + SLACK \
+        < 2 * out.data.nbytes
+
+
+def test_attention_keeps_two_maps():
+    bsz, tlen, hid = 4, 16, 32
+    rng = np.random.default_rng(15)
+    att = AdditiveAttention(hid, rng)
+    h = leaf(rng, bsz, tlen, hid)
+    kept, out = retained(lambda: att(h))
+    step = h.data.nbytes                 # one (B, T, H) map
+    assert out.requires_grad and out.shape == h.shape
+    assert kept <= 2 * step + SLACK < 3 * step
+
+
+def composed_linear(x, w, b):
+    return x @ w + b
+
+
+def composed_attention(h, w, b, v):
+    scores = softmax(tanh(h @ w + b) @ v, axis=1)
+    return scores * h * float(h.shape[1])
+
+
+def one_node_attention(h, w, b, v):
+    att = AdditiveAttention(w.shape[0], np.random.default_rng(0))
+    att.proj.weight, att.proj.bias, att.v = w, b, v
+    return att(h)
+
+
+def one_node_linear(x, w, b):
+    lin = Linear(*w.shape, np.random.default_rng(0))
+    lin.weight, lin.bias = w, b
+    return lin(x)
+
+
+SEQ_NODES = {
+    # name: (one-node form, composed form, argument shapes)
+    "linear_2d": (one_node_linear, composed_linear, [(5, 3), (3, 4), (4,)]),
+    "linear_3d": (one_node_linear, composed_linear,
+                  [(2, 5, 3), (3, 4), (4,)]),
+    "attention": (one_node_attention, composed_attention,
+                  [(2, 5, 3), (3, 3), (3,), (3, 1)]),
+}
+
+
+def seq_node_case(name, frozen):
+    """(one-node form, composed form, arrays, which need a gradient)."""
+    fn, composed, shapes = SEQ_NODES[name]
+    rng = np.random.default_rng(16)
+    arrays = [rng.normal(size=s) for s in shapes]
+    return fn, composed, arrays, [i != frozen for i in range(len(arrays))]
+
+
+@pytest.mark.parametrize("frozen", [None, 1, 2], ids=["all", "w", "b"])
+@pytest.mark.parametrize("name", list(SEQ_NODES))
+def test_seq_node_gradients_match_finite_differences(name, frozen):
+    fn, _, arrays, grad = seq_node_case(name, frozen)
+    proj = np.random.default_rng(17).normal(
+        size=fn(*map(Tensor, arrays)).shape)
+    leaves = [Tensor(a, requires_grad=g) for a, g in zip(arrays, grad)]
+    (fn(*leaves) * Tensor(proj)).sum().backward()
+    for i, arr in enumerate(arrays):
+        if not grad[i]:
+            assert leaves[i].grad is None
+            continue
+
+        def loss(v):
+            args = [Tensor(v if j == i else a) for j, a in enumerate(arrays)]
+            return float((fn(*args).data * proj).sum())
+        np.testing.assert_allclose(leaves[i].grad,
+                                   finite_diff_grad(loss, arr.copy()),
+                                   rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("frozen", [None, 1, 2], ids=["all", "w", "b"])
+@pytest.mark.parametrize("name", list(SEQ_NODES))
+def test_seq_node_is_bit_identical_to_the_composed_ops(name, frozen):
+    fn, composed, arrays, grad = seq_node_case(name, frozen)
+    runs = []
+    for form in (fn, composed):
+        leaves = [Tensor(a, requires_grad=g) for a, g in zip(arrays, grad)]
+        out = form(*leaves)
+        (out * Tensor(np.cos(out.data))).sum().backward()
+        runs.append([out.data] + [t.grad for t in leaves if t.requires_grad])
+    for one, chain in zip(*runs):
+        assert one.tobytes() == chain.tobytes()
+
+
+def test_slice_reads_share_one_zero_filled_buffer(monkeypatch):
+    rng = np.random.default_rng(18)
+    x = leaf(rng, 3, 2, 4, 5)
+    h = x * 2.0                                  # a (K, B, T, H) node
+    proj = [rng.normal(size=h[key].shape) for key in (0, 1, slice(2))]
+    loss = ((h[0] * Tensor(proj[0])).sum() + (h[1] * Tensor(proj[1])).sum()
+            + (h[:2] * Tensor(proj[2])).sum())
+    made = []
+    for name in ("zeros", "zeros_like"):
+        def spy(*args, real=getattr(np, name), **kwargs):
+            out = real(*args, **kwargs)
+            made.append(out.shape)
+            return out
+        monkeypatch.setattr(np, name, spy)
+    loss.backward()
+    monkeypatch.undo()
+    assert made.count(h.shape) == 1
+    want = np.zeros(h.shape)
+    want[0] += proj[0]
+    want[1] += proj[1]
+    want[:2] += proj[2]
+    np.testing.assert_array_equal(x.grad, 2.0 * want)
+
+
+def test_slice_reads_never_write_into_a_gradient_a_vjp_returned():
+    # h's first gradients are a read-only broadcast (sum) and views of one
+    # array that an add and a concat hand to two parents; a slice read of
+    # h or a must leave the other parent's share alone
+    rng = np.random.default_rng(19)
+    x = leaf(rng, 3, 4)
+    h, a = x * 2.0, x * 3.0
+    p, q = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
+
+    def loss(h, a):
+        return (h.sum() + ((h + a) * Tensor(p)).sum()
+                + (concat([h, a]) * Tensor(q)).sum()
+                + (h[1:] * 5.0).sum() + (a[:, ::2] * 7.0).sum())
+
+    loss(h, a).backward()
+    np.testing.assert_allclose(x.grad, finite_diff_grad(
+        lambda v: loss(Tensor(v) * 2.0, Tensor(v) * 3.0).item(),
+        x.data.copy()), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_slice_reads_keep_the_bits_of_a_zero_filled_share(order):
+    # an index-array read still adds a zero-filled array, as every read
+    # once did; basic slices must give the same bits. A ReLU's gradient
+    # under a negative weight is -0.0 where it is off, and where no read
+    # reaches (h[2]) the zero-filled share turns a sum of two into 0.0
+    rng = np.random.default_rng(20)
+    arr = rng.normal(size=(3, 4, 5))
+    neg = -rng.uniform(1.0, 2.0, size=(2, 3, 4, 5))
+    q = rng.normal(size=(2, 4, 5))
+    off = arr[2] < 0
+    grads = []
+    for keys in ((slice(2), slice(1, 2)), ([0, 1], [1])):
+        x = Tensor(arr, requires_grad=True)
+        h = x * 2.0
+        terms = [(relu(h) * Tensor(neg[0])).sum(),
+                 (relu(h) * Tensor(neg[1])).sum(),
+                 (h[keys[0]] * Tensor(q)).sum() + (h[keys[1]] * 3.0).sum()]
+        loss = terms[order[0]] + terms[order[1]] + terms[order[2]]
+        loss.backward()
+        grads.append(x.grad)
+    assert off.any() and not np.signbit(grads[1][2][off]).any()
+    assert grads[0].tobytes() == grads[1].tobytes()
