@@ -298,14 +298,17 @@ def _recurrence(cell: str, x: Tensor, ws: list, bs: list) -> Tensor:
     again in backward, and K = 1 is a view; x is (B, T, F), shared by all
     K, or (K, B, T, F); the output (K, B, T, H).
 
-    The input projection x @ W_x + b runs as one GEMM over all steps
-    before the cell's time loop, and dx, dW and db as GEMMs after it, all
-    over rows in (t, b) order. `loop(xz, wh)` gets the projection
-    (K, T, B, G*H) and the state weights (K, H, G*H), and returns the
-    output and back(g, wh), which, given the state weights again, maps the
-    output's gradient, made time-major (T, K, B, H), to the one at the gate
-    pre-activations (K, T, B, G*H). Only parents with requires_grad get a
-    gradient."""
+    Per step runs only the recurrence: forward's state product h @ W_h
+    and gates, and in backward what carries dh (and an LSTM's dc) to the
+    step before. All else runs once per sequence: the input projection
+    x @ W_x + b, one GEMM over all steps before the time loop; dx, dW and
+    db, GEMMs after it, all over rows in (t, b) order; and in the loop's
+    back, every value the carried gradient does not change. `loop(xz, wh)`
+    gets the projection (K, T, B, G*H) and the state weights (K, H, G*H),
+    and returns the output and back(g, wh), which, given the state weights
+    again, maps the output's gradient (K, B, T, H), read a step at a time
+    in place, to the one at the gate pre-activations (K, T, B, G*H). Only
+    parents with requires_grad get a gradient."""
     gates, loop = _RECURRENT_TABLE[cell]
 
     def stacked(ts):    # (K, ...); a stacked copy is rebuilt, not kept
@@ -342,8 +345,7 @@ def _recurrence(cell: str, x: Tensor, ws: list, bs: list) -> Tensor:
         wd = stacked(ws)
         wx, wh = wd[:, :feat], wd[:, feat:]
         # a K > 1 state block is copied contiguous again, not kept
-        dz = back(np.ascontiguousarray(g.transpose(2, 0, 1, 3)),
-                  np.ascontiguousarray(wh))
+        dz = back(g, np.ascontiguousarray(wh))
         dz = dz.reshape(k, tlen * bsz, cols)
         dx, dw, db = None, (None,) * k, (None,) * k
         if x.requires_grad:
@@ -375,7 +377,9 @@ def _one_layer(cell: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _rnn_loop(xz, wh):
-    # h_t = tanh(z_t); hs is the (K, B, T, H) output
+    """h_t = tanh(z_t); hs is the (K, B, T, H) output. Backward computes
+    the slope 1 - h_t² of every step once, into dz; per step it then adds
+    the carried dh to g_t, scales by the slope and maps through W_h."""
     k, tlen, bsz, hid = xz.shape
     hs = np.empty((k, bsz, tlen, hid))
     for t in range(tlen):
@@ -383,23 +387,29 @@ def _rnn_loop(xz, wh):
         np.tanh(z, out=hs[:, :, t])
 
     def back(g, wh):
-        whT = wh.transpose(0, 2, 1)
+        whT, gs = wh.transpose(0, 2, 1), g.transpose(2, 0, 1, 3)
         dz = np.empty((k, tlen, bsz, hid))
+        ht = hs.transpose(0, 2, 1, 3)
+        np.subtract(1.0, np.multiply(ht, ht, out=dz), out=dz)     # 1 - h²
         dh = np.zeros((k, bsz, hid))
         for t in range(tlen - 1, -1, -1):
-            h = hs[:, :, t]
-            dh = np.multiply(1.0 - h * h, g[t] + dh, out=dz[:, t]) @ whT
+            dzt = dz[:, t]
+            dh = np.multiply(dzt, gs[t] + dh, out=dzt) @ whT
         return dz
 
     return hs, back
 
 
 def _lstm_loop(xz, wh):
-    # gate order input, forget, cell, output; zero initial state; hs is
-    # the (K, B, T, H) output. Gate values are kept time-major, so that
-    # backward reads one contiguous block per step; backward rebuilds the
-    # cell states from them with forward's own expression, and tanh(c_t),
-    # rather than keep them.
+    """Gate order input, forget, cell, output; zero initial state; hs is
+    the (K, B, T, H) output. Gate values are kept time-major, one
+    contiguous block per step. Backward first computes, once per sequence,
+    what the carried gradient does not change: the gate slopes a(1 - a)
+    and 1 - g², into dz; the cell states, from the gate values with
+    forward's own products; tanh(c) and 1 - tanh²(c). Its reverse loop
+    then carries dh and dc: per step the four gate products, their product
+    with the slopes, the map through W_h and the dc update. Each value is
+    the expression a per-step loop uses, so the bits are the same."""
     k, tlen, bsz, cols = xz.shape
     hid = cols // 4
     cell = slice(2 * hid, 3 * hid)
@@ -417,30 +427,35 @@ def _lstm_loop(xz, wh):
         np.multiply(a[..., 3 * hid:], np.tanh(c), out=hs[:, :, t])
 
     def back(g, wh):
-        cs = np.empty((tlen, k, bsz, hid))      # the cell states, rebuilt
-        c = np.zeros((k, bsz, hid))
-        for t, a in enumerate(acts):
-            c = np.add(a[..., hid:2 * hid] * c, a[..., :hid] * a[..., cell],
-                       out=cs[t])
-        whT = wh.transpose(0, 2, 1)
         dz = np.empty((k, tlen, bsz, cols))
+        av = acts.transpose(1, 0, 2, 3)
+        np.multiply(av, np.subtract(1.0, av, out=dz), out=dz)   # a(1 - a)
+        gcs, sc = av[..., cell], dz[..., cell]
+        np.subtract(1.0, np.multiply(gcs, gcs, out=sc), out=sc)   # 1 - g²
+        gi, gf, gc, go = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
+        cs = gi * gc                # c_t = i·g, then + f·c_{t-1}, where
+        cs[0] += 0.0                # c_{-1} = 0.0 turns -0.0 into 0.0
+        for t in range(1, tlen):
+            cs[t] += gf[t] * cs[t - 1]
+        tcs = np.tanh(cs)
+        dtcs = np.multiply(tcs, tcs)
+        np.subtract(1.0, dtcs, out=dtcs)        # 1 - tanh²(c)
+        whT, gs = wh.transpose(0, 2, 1), g.transpose(2, 0, 1, 3)
         d = np.empty((k, bsz, cols))
+        di, df, dg, do = (d[..., n * hid:(n + 1) * hid] for n in range(4))
         dh = np.zeros((k, bsz, hid))
         dc = np.zeros((k, bsz, hid))
         for t in range(tlen - 1, -1, -1):
-            a, tc = acts[t], np.tanh(cs[t])
-            gi, gf, gc, go = (a[..., n * hid:(n + 1) * hid] for n in range(4))
-            dht = g[t] + dh
-            dc += dht * go * (1.0 - tc * tc)
+            dht = gs[t] + dh
+            dc += dht * go[t] * dtcs[t]
             # each gate's gradient at its activation, then through it
-            np.multiply(dc, gc, out=d[..., :hid])
-            np.multiply(dc, cs[t - 1] if t else 0.0, out=d[..., hid:2 * hid])
-            np.multiply(dc, gi, out=d[..., cell])
-            np.multiply(dht, tc, out=d[..., 3 * hid:])
-            slope = a * (1.0 - a)
-            slope[..., cell] = 1.0 - gc * gc
-            dh = np.multiply(d, slope, out=dz[:, t]) @ whT
-            dc *= gf
+            np.multiply(dc, gc[t], out=di)
+            np.multiply(dc, cs[t - 1] if t else 0.0, out=df)
+            np.multiply(dc, gi[t], out=dg)
+            np.multiply(dht, tcs[t], out=do)
+            dzt = dz[:, t]
+            dh = np.multiply(d, dzt, out=dzt) @ whT
+            dc *= gf[t]
         return dz
 
     return hs, back

@@ -3,13 +3,14 @@ write a BENCH json.
 
     python tests/bench_ab.py PROBE PARENT CHANGE OUT.json
 
-PROBE is conv, eval or memory; PARENT and CHANGE are the roots of two
-checkouts. In each of a probe's `rounds` rounds every tree runs one
-process, and the order flips from round to round. A process imports the
-library and perfbench's set-up from its own tree. For each perfbench
-workload (desk_cnn, long_seq, study) it builds the set-up at the probe's
-`seed` and runs `warm_up`, which raises glibc's mmap threshold as a long
-search does, and then runs the probe, which returns fields by entry. A
+PROBE is conv, eval, memory or recurrence; PARENT and CHANGE are the
+roots of two checkouts. In each of a probe's `rounds` rounds every tree
+runs one process, and the order flips from round to round. A process
+imports the library and perfbench's set-up from its own tree. For each
+perfbench workload (desk_cnn, long_seq, study) it builds the set-up at
+the probe's `seed` and runs `warm_up`, which raises glibc's mmap
+threshold as a long search does, and then runs the probe, which returns
+fields by entry. A
 timed field (see BETTER) is compared round by round; any other field is
 reported as each tree's first-round value and whether every run gave the
 same. Where a probe sets arrays aside, `max_rel_diff` is, per entry over
@@ -42,7 +43,7 @@ TIMEOUT_S = 600
 MB = 1e6
 # timed fields, compared round by round, and which way is better
 BETTER = {"fwd_ms": "lower", "dx_ms": "lower", "dw_ms": "lower",
-          "clips_per_s": "higher"}
+          "vjp_ms": "lower", "clips_per_s": "higher"}
 PAPER_HW = (128, 128)
 PAPER_LIMIT_GB = 5
 TOP_SITES = 8            # allocation sites listed per traced forward pass
@@ -76,15 +77,19 @@ def conv2d(ctx, arrays, *, seed=41, rounds=6, reps=20, pairs=10) -> dict:
         calls = {"fwd_ms": lambda: conv(Tensor(x), Tensor(w), **args),
                  "dx_ms": lambda: dx_node._vjp(g),
                  "dw_ms": lambda: dw_node._vjp(g)}
-        row = out[name] = {}
-        for kernel, call in calls.items():
-            samples = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                call()
-                samples.append((time.perf_counter() - t0) * 1e3)
-            row[kernel] = statistics.median(samples)
+        out[name] = {kernel: median_ms(call, reps)
+                     for kernel, call in calls.items()}
     return out
+
+
+def median_ms(call, reps: int) -> float:
+    """The median time of `reps` calls of call(), in ms."""
+    samples = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(samples)
 
 
 def evaluate(ctx, arrays, *, seed=11, rounds=10, reps_per_arm=12,
@@ -226,7 +231,65 @@ def paper_scale(batch: int) -> dict:
             "max_rss_mb": max_rss * 1024 / MB, "graph_mb": graph_mb}
 
 
-PROBES = {"conv": conv2d, "eval": evaluate, "memory": graph}
+def recurrence(ctx, arrays, *, seed=80, rounds=6, reps=30, pairs=10) -> dict:
+    """Every `_recurrence` call that one forward pass of the supernet and
+    of the CNN-LSTM baseline make on `batch_size` training clips, one entry
+    per cell type and lockstep layer count K (`lstm_k6`, ...), and the
+    baseline's K = 1 layer (`baseline_lstm_k1`). Each gets random inputs
+    and weights of its call's shapes; `reps` calls each of the node's
+    forward and of its vjp alone, and each median in ms. Set aside: the
+    output, the gradient at the gate pre-activations (dz) that the time
+    loop's back returns, and the vjp's dx, dW and db."""
+    import emodarts.ops as ops
+    from emodarts import Baseline, Tensor
+
+    real, found = ops._recurrence, {}
+    xb = ctx.dataset.split(ctx.fold.train_idx[:ctx.config.batch_size])[0]
+    models = {"": ctx.net, "baseline_": Baseline(
+        "cnn_lstm", ctx.config, ctx.seed, ctx.spec.dims)}
+    try:
+        for prefix, model in models.items():
+            def spy(cell, x, ws, bs, prefix=prefix):
+                found.setdefault(f"{prefix}{cell}_k{len(ws)}",
+                                 (cell, x.shape, len(ws), ws[0].shape))
+                return real(cell, x, ws, bs)
+            ops._recurrence = spy
+            model.forward_logits(Tensor(xb[:, None]))
+    finally:
+        ops._recurrence = real
+    rng = np.random.default_rng(ctx.seed)
+    out = {}
+    for entry, (cell, xshape, k, wshape) in sorted(found.items()):
+        gates, loop = ops._RECURRENT_TABLE[cell]
+        scale = (wshape[1] // gates) ** -0.5
+        leaves = [Tensor(rng.standard_normal(xshape), requires_grad=True)] + [
+            Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
+            for shape in [wshape] * k + [wshape[1:]] * k]
+        forward = lambda: real(cell, leaves[0], leaves[1:k + 1],
+                               leaves[k + 1:])
+        g = rng.standard_normal(forward().shape)
+        kept = []
+
+        def keeping(xz, wh):     # the loop, with dz kept as back returns it
+            hs, back = loop(xz, wh)
+            return hs, lambda g, wh: kept.append(back(g, wh)) or kept[-1]
+
+        ops._RECURRENT_TABLE[cell] = (gates, keeping)
+        try:
+            node = forward()
+            grads = node._vjp(g)
+        finally:
+            ops._RECURRENT_TABLE[cell] = (gates, loop)
+        arrays[entry] = [node.data, kept[0], *grads]
+        node = forward()
+        out[entry] = {"x": list(xshape), "w": list(wshape),
+                      "fwd_ms": median_ms(forward, reps),
+                      "vjp_ms": median_ms(lambda: node._vjp(g), reps)}
+    return out
+
+
+PROBES = {"conv": conv2d, "eval": evaluate, "memory": graph,
+          "recurrence": recurrence}
 
 
 def measure(probe: str, saved: str) -> dict:

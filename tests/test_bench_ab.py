@@ -94,3 +94,39 @@ def test_traced_names_the_sites_that_hold_what_forward_left():
     assert sites[0][1] == pytest.approx(2.4, rel=0.01)     # 3 x 800 kB
     assert sites[1][1] == pytest.approx(0.4, rel=0.01)
     assert held == pytest.approx(2.8, rel=0.01) and peak >= held
+
+
+def test_recurrence_probe_times_every_lockstep_shape_and_keeps_dz():
+    import emodarts.ops as ops
+    from types import SimpleNamespace
+    from emodarts import (SearchConfig, build_supernet, speaker_cv_split,
+                          synth_dataset)
+
+    dims = (8, 8)
+    config = SearchConfig(C=1, N=1, B_cnn=1, B_seqnn=1, channels=2,
+                          hidden=4, batch_size=4, baseline_lstm=8)
+    dataset = synth_dataset(5, 1, dims=dims, seed=3)
+    ctx = SimpleNamespace(
+        seed=3, config=config, dataset=dataset,
+        spec=SimpleNamespace(dims=dims),
+        fold=speaker_cv_split(dataset, n_folds=5, seed=3)[0],
+        net=build_supernet(config, np.random.default_rng(3), input_hw=dims))
+    table, recurrence = dict(ops._RECURRENT_TABLE), ops._recurrence
+    arrays = {}
+    out = bench_ab.recurrence(ctx, arrays, reps=2)
+    assert ops._RECURRENT_TABLE == table and ops._recurrence is recurrence
+    # the full scope: LSTM and RNN stacks 4, 3, 2, 2, 1, 1 deep
+    assert sorted(out) == ["baseline_lstm_k1", "lstm_k1", "lstm_k2", "lstm_k4",
+                           "lstm_k6", "rnn_k1", "rnn_k2", "rnn_k4", "rnn_k6"]
+    assert out["baseline_lstm_k1"]["w"][1] == 4 * 8
+    for entry, row in out.items():
+        assert row["fwd_ms"] > 0 and row["vjp_ms"] > 0
+        k = int(entry.rsplit("_k", 1)[1])
+        h, dz, dx, *rest = arrays[entry]
+        dw, db = rest[:k], rest[k:]
+        assert len(db) == k and dx.shape == tuple(row["x"])
+        assert h.shape[0] == k and dz.shape == (k, h.shape[2], h.shape[1],
+                                                row["w"][1])
+        # the dz kept is the one the vjp summed into db
+        want = dz.reshape(k, -1, dz.shape[-1]).sum(axis=1)
+        assert np.stack(db).tobytes() == want.tobytes()

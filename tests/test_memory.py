@@ -7,8 +7,10 @@ output and whatever the op's vector-Jacobian closure holds. A window op
 must not keep a padded copy of its input, and a recurrence must keep its
 gate values and output but not the LSTM cell states, tanh(c), a copy of
 x, a contiguous copy of lockstep state weights or the stacked lockstep
-weights: those are rebuilt from arrays that the graph holds anyway. A
-none op allocates no zeros. A conv that feeds a norm is one node that
+weights: those are rebuilt from arrays that the graph holds anyway. An
+LSTM's backward may hold the cell states, tanh(c) and 1 - tanh²(c) for
+the whole sequence, one block more than when it rebuilt tanh(c) per
+step. A none op allocates no zeros. A conv that feeds a norm is one node that
 keeps no pre-norm map and no scaled copy, and a CNN cell rectifies each
 source node once. A Linear keeps its output only, and attention two
 (B, T, H) maps. Backward adds the slice reads of one parent into one
@@ -299,6 +301,32 @@ def test_lockstep_lstm_node_keeps_no_cell_states():
     assert (tlen, k, bsz, 4 * hid) in held        # the gate values
     assert (tlen, k, bsz, hid) not in held        # no cell states
 
+
+
+def test_lockstep_lstm_backward_peak_grows_by_at_most_one_block():
+    # long_seq's first SeqNN layer: K = 6 LSTMs in lockstep over (B, T, H)
+    # = (16, 32, 32), x shared. When back rebuilt tanh(c_t) at each step
+    # (b0e7fd1), one vjp peaked at 5_803_912 traced bytes; computing the
+    # cell states' tanh and 1 - tanh² once per sequence may cost one more
+    # (T, K, B, H) block, not two
+    k, bsz, tlen, hid = 6, 16, 32, 32
+    rng = np.random.default_rng(21)
+    x = leaf(rng, bsz, tlen, hid)
+    ws = [leaf(rng, 2 * hid, 4 * hid) for _ in range(k)]
+    bs = [leaf(rng, 4 * hid) for _ in ws]
+    node = _recurrence("lstm", x, ws, bs)
+    g = rng.normal(size=node.shape)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = node._vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    block = tlen * k * bsz * hid * 8
+    assert all(d is not None for d in grads)
+    assert peak <= 5_803_912 + block
 
 @pytest.mark.parametrize("lead", [(64,), (8, 16)], ids=["2d", "3d"])
 def test_linear_keeps_one_output_sized_array(lead):

@@ -9,7 +9,8 @@ import pytest
 from emodarts import ContractViolation, Tensor, finite_diff_grad
 from emodarts.ops import (CNN_OPS, SEQNN_OPS, AdditiveAttention, BatchNorm2d,
                           Linear, build_cnn_op, build_seq_op, count_params,
-                          _recurrence, lstm_seq, rnn_seq)
+                          _lstm_loop, _recurrence, _rnn_loop, lstm_seq,
+                          rnn_seq)
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -367,6 +368,117 @@ def test_lockstep_kernel_skips_gradients_of_frozen_weights(cell, k, shared):
     np.testing.assert_array_equal(xt.grad, live.grad)
     np.testing.assert_array_equal(dx, live.grad)
 
+
+
+@pytest.mark.parametrize("cell", list(KERNELS))
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_step_recurrence_gradients_match_oracle(cell, k):
+    x0, w0, b0 = _lockstep_inputs(cell, k, False, seed=75 + k, tlen=1)
+    g = RNG(77 + k).normal(size=(k, 2, 1, 2))
+
+    def loss(xv, wv, bv, grad=False):
+        ts, out = _lockstep(cell, xv, wv, bv, grad)
+        return ts, (out * Tensor(g)).sum()
+
+    (xt, ws, bs), out = loss(x0, w0, b0, grad=True)
+    out.backward()
+    grads = (xt.grad, np.stack([t.grad for t in ws]),
+             np.stack([t.grad for t in bs]))
+    for pos, arr in enumerate((x0, w0, b0)):
+        def f(v, pos=pos):
+            args = [v if i == pos else a for i, a in enumerate((x0, w0, b0))]
+            return loss(*args)[1].item()
+        np.testing.assert_allclose(grads[pos],
+                                   finite_diff_grad(f, arr.copy(), eps=1e-5),
+                                   rtol=1e-6, atol=1e-8)
+
+
+def _per_step_loop(cell, xz, wh, g):
+    """(hs, dz) of a time loop that computes every value inside the loop,
+    one step at a time: forward keeps each cell state as it makes it, and
+    backward takes tanh(c_t), 1 - tanh²(c_t) and the gate slopes at each
+    step. xz is the projection (K, T, B, G*H), wh the state weights
+    (K, H, G*H) and g the output's gradient (K, B, T, H)."""
+    k, tlen, bsz, cols = xz.shape
+    hid = g.shape[-1]
+    whT = wh.transpose(0, 2, 1)
+    hs = np.empty((k, bsz, tlen, hid))
+    dz = np.empty(xz.shape)
+    dh = np.zeros((k, bsz, hid))
+    if cell == "rnn":
+        for t in range(tlen):
+            z = xz[:, t] + hs[:, :, t - 1] @ wh if t else xz[:, 0]
+            np.tanh(z, out=hs[:, :, t])
+        for t in range(tlen - 1, -1, -1):
+            h = hs[:, :, t]
+            dh = np.multiply(1.0 - h * h, g[:, :, t] + dh, out=dz[:, t]) @ whT
+        return hs, dz
+    cell = slice(2 * hid, 3 * hid)
+    acts = np.empty((tlen, k, bsz, cols))
+    cs = np.empty((tlen, k, bsz, hid))
+    c = np.zeros((k, bsz, hid))
+    for t in range(tlen):
+        a = np.add(xz[:, t], hs[:, :, t - 1] @ wh if t else 0.0, out=acts[t])
+        gc = np.tanh(a[..., cell])
+        a[...] = 1.0 / (1.0 + np.exp(-a))
+        a[..., cell] = gc
+        c = cs[t] = a[..., hid:2 * hid] * c + a[..., :hid] * gc
+        hs[:, :, t] = a[..., 3 * hid:] * np.tanh(c)
+    d = np.empty((k, bsz, cols))
+    dc = np.zeros((k, bsz, hid))
+    for t in range(tlen - 1, -1, -1):
+        a, tc = acts[t], np.tanh(cs[t])
+        gi, gf, gc, go = (a[..., n * hid:(n + 1) * hid] for n in range(4))
+        dht = g[:, :, t] + dh
+        dc += dht * go * (1.0 - tc * tc)
+        np.multiply(dc, gc, out=d[..., :hid])
+        np.multiply(dc, cs[t - 1] if t else 0.0, out=d[..., hid:2 * hid])
+        np.multiply(dc, gi, out=d[..., cell])
+        np.multiply(dht, tc, out=d[..., 3 * hid:])
+        slope = a * (1.0 - a)
+        slope[..., cell] = 1.0 - gc * gc
+        dh = np.multiply(d, slope, out=dz[:, t]) @ whT
+        dc *= gf
+    return hs, dz
+
+
+LOOPS = {"lstm": _lstm_loop, "rnn": _rnn_loop}
+
+
+def _loop_inputs(cell, k, tlen, seed, bsz=3, hid=4):
+    rng = RNG(seed)
+    cols = KERNELS[cell][1] * hid
+    return (rng.normal(size=(k, tlen, bsz, cols)),
+            rng.normal(size=(k, hid, cols)) * 0.5,
+            rng.normal(size=(k, bsz, tlen, hid)))
+
+
+@pytest.mark.parametrize("tlen", [1, 2, 7])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("cell", list(LOOPS))
+def test_time_loop_is_bit_identical_to_the_per_step_loop(cell, k, tlen):
+    xz, wh, g = _loop_inputs(cell, k, tlen, seed=80 + 10 * k + tlen)
+    hs, back = LOOPS[cell](xz, wh)
+    want_hs, want_dz = _per_step_loop(cell, xz, wh, g)
+    assert hs.tobytes() == want_hs.tobytes()
+    assert back(g, wh).tobytes() == want_dz.tobytes()
+
+
+@pytest.mark.parametrize("tlen", [1, 2])
+def test_lstm_back_turns_a_negative_zero_first_cell_state_into_zero(tlen):
+    # i_0 = sigmoid(-700) ~ 1e-304 times g_0 = tanh(-1e-300) underflows
+    # to -0.0; forward's zero state adds f·0.0 and makes c_0 = +0.0, so
+    # tanh(c_0) in the output gate's gradient and c_0 in the forget
+    # gate's next step must be +0.0 in backward too
+    xz, wh, g = _loop_inputs("lstm", 1, tlen, seed=90 + tlen)
+    hid = g.shape[-1]
+    xz[0, 0, 0, 0], xz[0, 0, 0, 2 * hid] = -700.0, -1e-300
+    i0g0 = 1.0 / (1.0 + np.exp(700.0)) * np.tanh(-1e-300)
+    assert i0g0 == 0.0 and np.signbit(i0g0)
+    hs, back = _lstm_loop(xz, wh)
+    want_hs, want_dz = _per_step_loop("lstm", xz, wh, g)
+    assert hs.tobytes() == want_hs.tobytes()
+    assert back(g, wh).tobytes() == want_dz.tobytes()
 
 def test_single_layer_call_is_the_k1_case():
     x, w, b = _lockstep_inputs("lstm", 1, True, seed=70)
