@@ -403,7 +403,9 @@ def _rnn_loop(xz, wh):
 def _lstm_loop(xz, wh):
     """Gate order input, forget, cell, output; zero initial state; hs is
     the (K, B, T, H) output. Gate values are kept time-major, one
-    contiguous block per step. Backward first computes, once per sequence,
+    contiguous block per step. Forward takes the gate views once per
+    sequence and writes each step's values into buffers allocated once per
+    call, or into c and hs. Backward first computes, once per sequence,
     what the carried gradient does not change: the gate slopes a(1 - a)
     and 1 - g², into dz; the cell states, from the gate values with
     forward's own products; tanh(c) and 1 - tanh²(c). Its reverse loop
@@ -415,16 +417,21 @@ def _lstm_loop(xz, wh):
     cell = slice(2 * hid, 3 * hid)
     acts = np.empty((tlen, k, bsz, cols))      # gate values
     hs = np.empty((k, bsz, tlen, hid))
+    a_i, a_f, a_g, a_o = (acts[..., :hid], acts[..., hid:2 * hid],
+                          acts[..., cell], acts[..., 3 * hid:])
     c = np.zeros((k, bsz, hid))
-    e = np.empty((k, bsz, cols))
+    e, hw = np.empty((k, bsz, cols)), np.empty((k, bsz, cols))
+    tg, tc = np.empty(c.shape), np.empty(c.shape)   # tanh(g), tanh(c)
     for t in range(tlen):
-        a = np.add(xz[:, t], hs[:, :, t - 1] @ wh if t else 0.0, out=acts[t])
-        gc = np.tanh(a[..., cell])
+        a = np.add(xz[:, t], np.matmul(hs[:, :, t - 1], wh, out=hw)
+                   if t else 0.0, out=acts[t])
+        np.tanh(a_g[t], out=tg)
         np.exp(np.negative(a, out=e), out=e)    # one sigmoid over all gates,
         np.divide(1.0, np.add(e, 1.0, out=e), out=a)    # 1 / (1 + exp(-a))
-        a[..., cell] = gc
-        np.add(a[..., hid:2 * hid] * c, a[..., :hid] * gc, out=c)
-        np.multiply(a[..., 3 * hid:], np.tanh(c), out=hs[:, :, t])
+        a_g[t] = tg
+        np.multiply(a_f[t], c, out=c)           # c = f·c + i·g
+        c += np.multiply(a_i[t], tg, out=tg)
+        np.multiply(a_o[t], np.tanh(c, out=tc), out=hs[:, :, t])
 
     def back(g, wh):
         dz = np.empty((k, tlen, bsz, cols))

@@ -14,6 +14,8 @@ reused across steps freely.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractViolation, GraphReuseError
@@ -451,17 +453,107 @@ def _columns(xp: np.ndarray, groups: int, geom) -> np.ndarray:
     ).reshape(b, groups, -1, ho * wo)
 
 
+def _clips(n: int, clip_bytes: int):
+    """Slices of a batch of n clips, a few clips each, such that what one
+    clip's GEMM reads (clip_bytes) fills at most COLUMN_BYTES per slice,
+    or one clip. A clip's GEMM reads only its own columns or rows, so they
+    are built one slice at a time, which bounds the largest array a conv
+    allocates and changes no bit."""
+    step = max(1, COLUMN_BYTES // clip_bytes)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _correlate(xp: np.ndarray, wmat: np.ndarray, geom) -> np.ndarray:
     """Grouped cross-correlation of the padded map xp with the weight matrix
-    wmat (groups, og, cg*kh*kw): (B, groups*og, Ho, Wo). A clip's GEMM reads
-    only its own columns, so they are built a few clips at a time, which
-    bounds the largest array a graph-free forward pass allocates."""
+    wmat (groups, og, cg*kh*kw): (B, groups*og, Ho, Wo), its im2col columns
+    built a few clips at a time."""
     out = np.empty((len(xp), *wmat.shape[:2], geom[-2] * geom[-1]))
-    step = max(1, COLUMN_BYTES // (8 * wmat[:, 0].size * out.shape[-1]))
-    for lo in range(0, len(xp), step):
-        np.matmul(wmat, _columns(xp[lo:lo + step], len(wmat), geom),
-                  out=out[lo:lo + step])
+    for sl in _clips(len(xp), 8 * wmat[:, 0].size * out.shape[-1]):
+        np.matmul(wmat, _columns(xp[sl], len(wmat), geom), out=out[sl])
     return out.reshape(len(xp), -1, *geom[-2:])
+
+
+def _rows(a: np.ndarray, kh: int, sh: int, dh: int, ho: int) -> np.ndarray:
+    """(B, C, Ho, kh*W): for each output row of a row-wise window op over
+    the (B, C, H, W) map a, the kh rows of a that it reads, side by side.
+    With dilation 1 over contiguous rows it is a view of a, whose output
+    rows overlap; numpy's matmul copies one clip and channel of it at a
+    time. Else it is a copy kh times the size of the rows read, where
+    im2col's is kh*kw times."""
+    (b, c, _, w), (s0, s1, s2, s3) = a.shape, a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (b, c, ho, kh, w), (s0, s1, s2 * sh, s2 * dh, s3)
+    ).reshape(b, c, ho, kh * w)
+
+
+@functools.lru_cache(maxsize=64)
+def _diagonals(w: int, wo: int, kw: int, sw: int, dw: int, pw: int):
+    """Where the column taps of a conv row lie in a (W, Wo) block, whose
+    entry (u, o) pairs input column u with output column o: tap j meets
+    output column o at u = o*sw + j*dw - pw, on the map if 0 <= u < W.
+    Returns two read-only (Wo, kw) arrays: the flat index u*Wo + o, with u
+    clipped onto the map, and whether u is on it."""
+    o, j = np.ogrid[:wo, :kw]
+    u = o * sw + j * dw - pw
+    on = (u >= 0) & (u < w)
+    flat = np.clip(u, 0, w - 1) * wo + o
+    flat.flags.writeable = on.flags.writeable = False
+    return flat, on
+
+
+def _depthwise(x: "Tensor", w: "Tensor", geom, ph: int, pw: int) -> "Tensor":
+    """conv2d with one input and one output channel per group, as a batch
+    of per-channel row-Toeplitz GEMMs (MEC, arXiv 1706.06873). Channel c's
+    Toeplitz matrix T_c is (kh*W, Wo), with tap w[c, i, j] at row i*W + u
+    and column o for every on-map u = o*sw + j*dw - pw, and zeros elsewhere;
+    the column padding lies in T_c, so only rows are padded. Forward is
+    `_rows` of the row-padded map times T_c. The input gradient is, per
+    stride phase of the rows (`_phases`), `_rows` of the output gradient
+    times the phase's taps of T_c transposed. The weight gradient is
+    `_rows`ᵀ times the output gradient per clip, a (kh*W, Wo) block whose
+    tap sums lie along the diagonals of `_diagonals`, summed over clips."""
+    kh, kw, sh, sw, dh, dw, ho, wo = geom
+    bsz, c, h, wd = x.shape
+    flat, on = _diagonals(wd, wo, kw, sw, dw, pw)
+
+    def toeplitz() -> np.ndarray:       # (C, kh, W*Wo)
+        t = np.zeros((c, kh, wd * wo))
+        t[..., flat[on]] = w.data[:, 0][..., np.nonzero(on)[1]]
+        return t
+
+    t = toeplitz().reshape(c, kh * wd, wo)
+    out = np.empty((bsz, c, ho, wo))
+    for sl in _clips(bsz, 8 * c * ho * kh * wd):
+        np.matmul(_rows(_pad(x.data[sl], ph, 0), kh, sh, dh, ho), t,
+                  out=out[sl])
+
+    def vjp(g):
+        gw = dx = None
+        if w.requires_grad:
+            per_clip = np.empty((kw, bsz, c, kh))
+            for sl in _clips(bsz, 8 * c * kh * wd * (ho + wo)):
+                m = (_rows(_pad(x.data[sl], ph, 0), kh, sh, dh, ho)
+                     .swapaxes(-1, -2) @ g[sl])
+                # (Wo, kw, clips, C, kh): the diagonals, output column first,
+                # so that their sums add whole slabs
+                taps = m.reshape(-1, c, kh, wd * wo).transpose(3, 0, 1, 2)[flat]
+                taps[~on] = 0.0
+                taps.sum(axis=0, out=per_clip[:, sl])
+            gw = per_clip.sum(axis=1).transpose(1, 2, 0).reshape(w.shape)
+        if x.requires_grad:
+            tt = toeplitz().reshape(c, kh, wd, wo).swapaxes(-1, -2)
+            qh, phases = _phases(h, kh, sh, ph, dh)
+            # stride 1 has one phase, every row; else tapless ones stay 0
+            dx = np.empty(x.shape) if sh == 1 else np.zeros(x.shape)
+            for rh, th, ch, (nh, eh, mh) in phases:
+                tp = tt[:, th].reshape(c, nh * wo, wd)
+                for sl in _clips(bsz, 8 * c * mh * nh * wo):
+                    gp = _pad(g[sl], qh, 0)[:, :, ch:]
+                    np.matmul(_rows(gp, nh, 1, eh, mh), tp,
+                              out=dx[sl, :, rh::sh])
+        return dx, gw
+
+    return Tensor._make(out, (x, w), vjp)
 
 
 def _phases(n: int, k: int, s: int, p: int, d: int):
@@ -499,14 +591,17 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
            groups: int = 1) -> Tensor:
     """2-D cross-correlation. x: (B, Cin, H, W), w: (Cout, Cin/groups, kh, kw).
 
-    Forward, depthwise or not, is the grouped im2col GEMM of `_correlate`;
-    the weight gradient is the output gradient times the same columns, and
-    the input gradient `_correlate` of the output gradient with the flipped,
-    channel-swapped kernel, once per pair of stride phases (`_phases`). Only
-    parents with requires_grad get a gradient. The node keeps no padded
-    copy of x: the weight gradient pads x.data again. No bias term; the op
-    catalog always follows a convolution with a normalization layer, which
-    absorbs any constant shift (`conv2d_norm`).
+    A depthwise conv, one input and one output channel per group (told by
+    the weight's shape), runs as per-channel row-Toeplitz GEMMs
+    (`_depthwise`). Any other conv's forward is the grouped im2col GEMM of
+    `_correlate`; its weight gradient is the output gradient times the
+    same columns, and its input gradient `_correlate` of the output
+    gradient with the flipped, channel-swapped kernel, once per pair of
+    stride phases (`_phases`). Only parents with requires_grad get a
+    gradient. The node keeps no padded copy of x: the weight gradient pads
+    x.data again. No bias term; the op catalog always follows a
+    convolution with a normalization layer, which absorbs any constant
+    shift (`conv2d_norm`).
     """
     x, w = as_tensor(x), as_tensor(w)
     ph, pw = _pair(padding)
@@ -520,6 +615,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
                      _pair(dilation))
     sh, sw, dh, dw = geom[2:6]
     og = cout // groups
+    if cg == og == 1:
+        return _depthwise(x, w, geom, ph, pw)
     out = _correlate(_pad(x.data, ph, pw), w.data.reshape(groups, og, -1), geom)
 
     def vjp(g):

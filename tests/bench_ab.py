@@ -57,21 +57,38 @@ TOP_SITES = 8            # allocation sites listed per traced forward pass
 # tree), `pairs` (perfbench runs per tree and workload) and its own.
 
 def conv2d(ctx, arrays, *, seed=41, rounds=6, reps=20, pairs=10) -> dict:
-    """For every geometry in `perfbench/worker.conv_configs`, `reps` calls
-    each of conv2d forward, the input gradient alone (the weight frozen)
-    and the weight gradient alone (the input frozen), on a batch of
-    `batch_size` clips at the workload's clip size, and each median in ms;
-    a gradient's time is that of the conv node's vjp alone."""
+    """For every geometry in `perfbench/worker.conv_configs`, on a batch of
+    `batch_size` clips at the workload's clip size, and every other one
+    that one forward pass of the supernet and of the derived model make on
+    `batch_size` training clips (found by spying conv2d, and named by its
+    input shape and arguments): `reps` calls each of conv2d forward, the
+    input gradient alone (the weight frozen) and the weight gradient alone
+    (the input frozen), and each median in ms; a gradient's time is that of
+    the conv node's vjp alone. Set aside per geometry: the output and both
+    gradients."""
     from worker import conv_configs
     from emodarts import Tensor, conv2d as conv
 
-    rng = np.random.default_rng(ctx.seed)
-    out = {}
+    geometries = {}
     for name, wshape, args in conv_configs(ctx):
         cin = wshape[1] * args.get("groups", 1)
-        x = rng.standard_normal((ctx.config.batch_size, cin, *ctx.spec.dims))
-        w = rng.standard_normal(wshape)
-        g = rng.standard_normal(conv(Tensor(x), Tensor(w), **args).shape)
+        xshape = (ctx.config.batch_size, cin, *ctx.spec.dims)
+        geometries[conv_key(xshape, wshape, args)] = name
+    for key in sorted(spied_convs(ctx)):
+        (_, cin, h, w), wshape, (stride, padding, dilation, groups) = key
+        spd = " ".join(f"{k}{a},{b}" for k, (a, b) in
+                       zip("spd", (stride, padding, dilation)))
+        geometries.setdefault(key, f"{cin}x{h}x{w} -> {wshape[0]} "
+                                   f"{wshape[2]}x{wshape[3]} {spd} g{groups}")
+    rng = np.random.default_rng(ctx.seed)
+    out = {}
+    for (xshape, wshape, conv_args), name in geometries.items():
+        args = dict(zip(("stride", "padding", "dilation", "groups"), conv_args))
+        x, w = rng.standard_normal(xshape), rng.standard_normal(wshape)
+        node = conv(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                    **args)
+        g = rng.standard_normal(node.shape)
+        arrays[name] = [node.data, *node._vjp(g)]
         dx_node = conv(Tensor(x, requires_grad=True), Tensor(w), **args)
         dw_node = conv(Tensor(x), Tensor(w, requires_grad=True), **args)
         calls = {"fwd_ms": lambda: conv(Tensor(x), Tensor(w), **args),
@@ -80,6 +97,46 @@ def conv2d(ctx, arrays, *, seed=41, rounds=6, reps=20, pairs=10) -> dict:
         out[name] = {kernel: median_ms(call, reps)
                      for kernel, call in calls.items()}
     return out
+
+
+def conv_key(xshape, wshape, args) -> tuple:
+    """A conv call's geometry: (input shape, weight shape, (stride,
+    padding, dilation, groups)), each of the first three as a pair."""
+    pair = lambda v: tuple(v) if isinstance(v, (tuple, list)) else (v, v)
+    return (tuple(xshape), tuple(wshape),
+            (pair(args.get("stride", 1)), pair(args.get("padding", 0)),
+             pair(args.get("dilation", 1)), args.get("groups", 1)))
+
+
+def spied_convs(ctx) -> set:
+    """The geometry (`conv_key`) of every conv2d call that one forward pass
+    of the supernet and one of the workload's derived model make on
+    `batch_size` training clips."""
+    import emodarts.tensor as tensor
+    from emodarts import Tensor, instantiate
+
+    real, found = tensor.conv2d, set()
+
+    def spy(x, w, stride=1, padding=0, dilation=1, groups=1):
+        found.add(conv_key(x.shape, w.shape, dict(
+            stride=stride, padding=padding, dilation=dilation, groups=groups)))
+        return real(x, w, stride, padding, dilation, groups)
+
+    # every module that bound conv2d by name, tensor's own included (its
+    # conv2d_norm calls it)
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("emodarts") and getattr(m, "conv2d", None) is real]
+    xb = ctx.dataset.split(ctx.fold.train_idx[:ctx.config.batch_size])[0]
+    try:
+        for m in bound:
+            m.conv2d = spy
+        for model in (ctx.net, instantiate(ctx.genome, ctx.config, ctx.seed,
+                                           ctx.spec.dims)):
+            model.forward_logits(Tensor(xb[:, None]))
+    finally:
+        for m in bound:
+            m.conv2d = real
+    return found
 
 
 def median_ms(call, reps: int) -> float:

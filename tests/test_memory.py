@@ -14,7 +14,8 @@ step. A none op allocates no zeros. A conv that feeds a norm is one node that
 keeps no pre-norm map and no scaled copy, and a CNN cell rectifies each
 source node once. A Linear keeps its output only, and attention two
 (B, T, H) maps. Backward adds the slice reads of one parent into one
-zero-filled buffer. The gradients of the same ops are checked against
+zero-filled buffer. A depthwise conv over many clips builds its rows a
+few clips at a time. The gradients of the same ops are checked against
 finite_diff_grad, and the one-node forms against the Tensor-op chains
 they replace, bit for bit.
 """
@@ -98,6 +99,47 @@ def test_window_op_gradients_match_finite_differences(name):
 
 
 RECURRENCES = {"lstm": (lstm_seq, 4), "rnn": (rnn_seq, 1)}
+
+
+def peak(fn):
+    """(fn(), the peak bytes allocated while it ran, over those allocated
+    before it)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_conv_over_64_clips_builds_its_rows_a_few_clips_at_a_time(
+        stride, monkeypatch):
+    # evaluate's batch of 64 clips, at a SepConv's 5x5 depthwise conv: the
+    # rows of all 64 clips are 2.5-5 times the map, but no conv builds more
+    # than COLUMN_BYTES of rows at a time, and none holds more than that
+    # beyond the arrays it returns, in forward or in backward
+    rng = np.random.default_rng(13)
+    x, w = leaf(rng, 64, 8, 32, 32), leaf(rng, 8, 1, 5, 5)
+    real, built = emodarts.tensor._rows, []
+
+    def spy(*args):
+        rows = real(*args)
+        built.append(rows.nbytes)
+        return rows
+
+    monkeypatch.setattr(emodarts.tensor, "_rows", spy)
+    cap = emodarts.tensor.COLUMN_BYTES
+    out, held = peak(lambda: conv2d(x, w, stride=stride, padding=2, groups=8))
+    assert len(built) > 1 and max(built) <= cap < sum(built)
+    assert held - out.data.nbytes <= cap
+    built.clear()
+    g = rng.normal(size=out.shape)
+    (dx, gw), held = peak(lambda: out._vjp(g))
+    assert len(built) > 2 and max(built) <= cap
+    assert held - dx.nbytes - gw.nbytes <= cap
 
 
 @pytest.mark.parametrize("layers", [0, 3], ids=["single", "lockstep"])

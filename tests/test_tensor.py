@@ -345,7 +345,26 @@ CONV_CASES = {
     # outer output cells read only padding
     "padding past the kernel reach": ((2, 4, 7, 7), (4, 4, 3, 3), (1, 1),
                                       (3, 4), (1, 1), 1),
+    # depthwise convs take the row-Toeplitz path: its row phases, its
+    # column taps folded into the Toeplitz matrix, and its diagonals
+    "depthwise stride 3": ((2, 4, 11, 10), (4, 1, 5, 3), (3, 3), (2, 1),
+                           (1, 1), 4),
+    "depthwise dilation 2 at stride 2": ((2, 4, 10, 10), (4, 1, 3, 3),
+                                         (2, 2), (1, 1), (2, 2), 4),
+    "depthwise 3x5, strides (1, 2)": ((2, 4, 9, 12), (4, 1, 3, 5), (1, 2),
+                                      (1, 2), (1, 1), 4),
+    # no window reaches the last column of the 11-column map
+    "depthwise odd width at stride 2": ((2, 4, 8, 11), (4, 1, 2, 2), (2, 2),
+                                        (0, 0), (1, 1), 4),
+    "depthwise padding past the kernel reach": ((2, 4, 7, 7), (4, 1, 3, 3),
+                                                (1, 1), (3, 4), (1, 1), 4),
+    # the outer column taps of a 1-wide map read only padding
+    "depthwise 1-wide map": ((2, 4, 9, 1), (4, 1, 3, 3), (1, 1), (1, 1),
+                             (1, 1), 4),
 }
+
+DEPTHWISE_CASES = [n for n, case in CONV_CASES.items()
+                   if case[1][:2] == (case[0][1], 1)]
 
 
 @pytest.mark.parametrize("name", list(CONV_CASES))
@@ -384,6 +403,51 @@ def test_conv2d_gives_the_same_bits_with_columns_built_clip_by_clip(
         runs.append((out.data, *out._vjp(np.cos(out.data))))
     for whole, chunked in zip(*runs):
         assert whole.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("name", DEPTHWISE_CASES)
+def test_depthwise_conv2d_gives_the_same_bits_with_rows_built_clip_by_clip(
+        name, monkeypatch):
+    # a clip's GEMMs read only its own rows, so the forward pass and both
+    # gradients must not change a bit when the rows are built one clip at
+    # a time
+    xshape, wshape, stride, padding, dilation, groups = CONV_CASES[name]
+    rng = np.random.default_rng(6)
+    x, w = rng.normal(size=(5, *xshape[1:])), rng.normal(size=wshape)
+    args = dict(stride=stride, padding=padding, dilation=dilation,
+                groups=groups)
+    real, built = tensor_module._rows, []
+    monkeypatch.setattr(tensor_module, "_rows",
+                        lambda a, *geom: built.append(len(a)) or real(a, *geom))
+    runs = []
+    for cap in (2 ** 40, 1):
+        monkeypatch.setattr(tensor_module, "COLUMN_BYTES", cap)
+        built.clear()
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, **args)
+        runs.append((out.data, *out._vjp(np.cos(out.data))))
+        assert set(built) == ({5} if cap > 1 else {1})
+    for whole, chunked in zip(*runs):
+        assert whole.tobytes() == chunked.tobytes()
+
+
+def test_strided_depthwise_conv2d_matches_finite_differences():
+    # a SepConv's stride-2 5x5 depthwise conv on an odd map; the loss is
+    # linear in x and in w, so central differences at step 1 are exact up
+    # to rounding
+    rng = np.random.default_rng(17)
+    x, w = rng.normal(size=(2, 3, 9, 7)), rng.normal(size=(3, 1, 5, 5))
+    args = dict(stride=2, padding=2, groups=3)
+    g = rng.normal(size=conv2d(Tensor(x), Tensor(w), **args).shape)
+
+    def loss(xv, wv):
+        return float((conv2d(Tensor(xv), Tensor(wv), **args).data * g).sum())
+
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    (conv2d(xt, wt, **args) * Tensor(g)).sum().backward()
+    for got, want in ((xt.grad, finite_diff_grad(lambda v: loss(v, w), x, 1.0)),
+                      (wt.grad, finite_diff_grad(lambda v: loss(x, v), w, 1.0))):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name", ["dense 3x3", "depthwise 5x5 s2"])
