@@ -10,7 +10,7 @@ Every producing command drops a <primary-out>.manifest.json next to its
 primary artifact recording the command, argument vector, effective seed,
 library versions, configuration, and input/output paths; nothing in any
 artifact depends on wall-clock time, so replaying a manifest with fresh
-output paths reproduces the original bytes. Every file is written, and
+output paths, under its recorded seed, reproduces the original bytes. Every file is written, and
 every text or container input read, through `artifacts`; the manifest is
 written last.
 
@@ -453,7 +453,25 @@ def _cmd_replay(args, argv):
     mapping = {outputs[0]: args.out}
     for extra in outputs[1:]:
         mapping[extra] = os.path.join(out_dir, os.path.basename(extra))
-    new_argv = [mapping.get(tok, tok) for tok in old_argv]
+    new_argv = []
+    for tok in old_argv:
+        opt, eq, val = tok.partition("=")
+        if tok.startswith("--") and eq and val in mapping:    # --opt=PATH
+            new_argv.append(opt + eq + mapping[val])
+        else:
+            new_argv.append(mapping.get(tok, tok))
+    try:
+        recorded = build_parser().parse_args(new_argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    # a seed from EMODARTS_SEED or a config file is pinned, so that the
+    # environment of the replay cannot change it
+    if "seed" in vars(recorded) and recorded.seed is None:
+        seed = doc.get("seed")
+        if type(seed) is not int or seed < 0:
+            raise DataError("manifest records no seed for a command that "
+                            "takes one")
+        new_argv += ["--seed", str(seed)]
     return main(new_argv)
 
 

@@ -32,7 +32,7 @@ from .features import Dataset
 from .genome import Genome, detect_degenerate, extract_genome
 from .metrics import ua, wa
 from .ops import (SEQNN_OPS, AdditiveAttention, Linear, Module,
-                  RecurrentLayer, _uniform, count_params)
+                  RecurrentStack, _uniform, count_params)
 from .search import search
 from .supernet import build_supernet, flatten_bridge
 from .tensor import (Tensor, _out_size, concat, conv2d, dropout, max_pool2d,
@@ -164,8 +164,9 @@ class Baseline(Module):
         if kind == "cnn":
             flat = ch * h * w
         else:
-            self.fwd = RecurrentLayer("lstm", ch * w, config.baseline_lstm, rng)
-            self.bwd = RecurrentLayer("lstm", ch * w, config.baseline_lstm, rng)
+            self.fwd, self.bwd = (
+                RecurrentStack("lstm", 1, ch * w, config.baseline_lstm, rng,
+                               attention=False) for _ in range(2))
             flat = 2 * config.baseline_lstm
             if kind == "cnn_lstm_att":
                 self.att = AdditiveAttention(flat, rng)

@@ -21,14 +21,14 @@ from .tensor import (Tensor, _matmul_grads, _unbroadcast, avg_pool2d,
 
 __all__ = [
     "CNN_OPS", "SEQNN_OPS", "Module", "BatchNorm2d", "Linear", "ReLUConvNorm",
-    "RecurrentLayer", "AdditiveAttention", "rnn_seq", "lstm_seq",
+    "AdditiveAttention", "rnn_seq", "lstm_seq",
     "build_cnn_op", "build_seq_op", "count_params", "PASSIVE_OPS",
     "ReLUFirst", "run_op", "run_candidates",
 ]
 
 _CNN_TABLE = {
-    "max_pool_3x3": lambda c, s, rng, affine: _PoolOp("max", s),
-    "avg_pool_3x3": lambda c, s, rng, affine: _PoolOp("avg", s),
+    "max_pool_3x3": lambda c, s, rng, affine: _PoolOp(max_pool2d, s),
+    "avg_pool_3x3": lambda c, s, rng, affine: _PoolOp(avg_pool2d, s),
     "dil_conv_3x3": lambda c, s, rng, affine: ReLUConvNorm(
         c, c, rng, affine, kernel=3, stride=s, dilation=2),
     "dil_conv_5x5": lambda c, s, rng, affine: ReLUConvNorm(
@@ -175,13 +175,12 @@ class Linear(Module):
 # ---- CNN candidate ops ----
 
 class _PoolOp(Module):
-    def __init__(self, mode: str, stride: int):
-        self.mode = mode
+    def __init__(self, pool, stride: int):
+        self.pool = pool
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        pool = max_pool2d if self.mode == "max" else avg_pool2d
-        return pool(x, kernel=3, stride=self.stride, padding=1)
+        return self.pool(x, kernel=3, stride=self.stride, padding=1)
 
 
 class ReLUFirst(Module):
@@ -486,20 +485,6 @@ def lstm_seq(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _one_layer("lstm", x, w, b)
 
 
-class RecurrentLayer(Module):
-    """One lstm_seq or rnn_seq layer, by `cell`, with its weight and bias."""
-
-    def __init__(self, cell: str, feat: int, hidden: int,
-                 rng: np.random.Generator):
-        self.cell = cell
-        cols = _RECURRENT_TABLE[cell][0] * hidden
-        self.weight = _uniform(rng, (feat + hidden, cols), feat + hidden)
-        self.bias = _uniform(rng, (cols,), feat + hidden)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return _one_layer(self.cell, x, self.weight, self.bias)
-
-
 class AdditiveAttention(Module):
     """Shape-preserving temporal attention: scores e_t = v.tanh(W h_t + b),
     weights a = softmax(e) over time, output T * a_t * h_t. The factor T
@@ -538,18 +523,24 @@ class AdditiveAttention(Module):
 
 
 class RecurrentStack(Module):
-    """i stacked recurrent layers, optionally topped with attention."""
+    """depth stacked lstm_seq or rnn_seq layers, by `cell`, optionally
+    topped with attention. `layers` holds each layer's [weight, bias]:
+    (F+H, G*H) and (G*H,), for G the cell's gate count."""
 
     def __init__(self, cell: str, depth: int, feat: int, hidden: int,
                  rng: np.random.Generator, attention: bool):
         self.cell = cell
-        self.layers = [RecurrentLayer(cell, feat if i == 0 else hidden,
-                                      hidden, rng) for i in range(depth)]
+        cols = _RECURRENT_TABLE[cell][0] * hidden
+        self.layers = []
+        for i in range(depth):
+            fan_in = (feat if i == 0 else hidden) + hidden
+            self.layers.append([_uniform(rng, (fan_in, cols), fan_in),
+                                _uniform(rng, (cols,), fan_in)])
         self.attention = AdditiveAttention(hidden, rng) if attention else None
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
+        for w, b in self.layers:
+            x = _one_layer(self.cell, x, w, b)
         return self.top(x)
 
     def top(self, x: Tensor) -> Tensor:
@@ -575,9 +566,8 @@ def run_candidates(ops, x: Tensor, r: Tensor | None = None) -> list[Tensor]:
                       key=lambda k: -len(ops[k].layers))
         h, depth = x, 0
         while live:
-            layers = [ops[k].layers[depth] for k in live]
-            h = _recurrence(cell, h, [layer.weight for layer in layers],
-                            [layer.bias for layer in layers])
+            ws, bs = zip(*(ops[k].layers[depth] for k in live))
+            h = _recurrence(cell, h, ws, bs)
             depth += 1
             for pos, k in enumerate(live):
                 if len(ops[k].layers) == depth:

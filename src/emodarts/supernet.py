@@ -24,8 +24,7 @@ from .config import SearchConfig
 from .errors import ContractViolation
 from .ops import (CNN_OPS, BatchNorm2d, Linear, Module, ReLUConvNorm,
                   _uniform)
-from .tensor import (Tensor, _out_size, concat, conv2d, cross_entropy, relu,
-                     softmax)
+from .tensor import Tensor, _out_size, concat, conv2d, relu, softmax
 
 __all__ = ["Backbone", "Supernet", "build_supernet", "flatten_bridge",
            "reduction_positions", "Stem", "FactorizedReduce"]
@@ -204,9 +203,6 @@ class Supernet(Backbone):
     def alpha_tables(self) -> dict[str, np.ndarray]:
         """Snapshot of the coefficient tables as plain arrays."""
         return {k: v.data.copy() for k, v in self._alphas.items()}
-
-    def loss(self, x: Tensor, labels: np.ndarray) -> Tensor:
-        return cross_entropy(self.forward_logits(x), labels)
 
 
 def build_supernet(config: SearchConfig, rng: np.random.Generator,

@@ -595,13 +595,13 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
     the weight's shape), runs as per-channel row-Toeplitz GEMMs
     (`_depthwise`). Any other conv's forward is the grouped im2col GEMM of
     `_correlate`; its weight gradient is the output gradient times the
-    same columns, and its input gradient `_correlate` of the output
-    gradient with the flipped, channel-swapped kernel, once per pair of
-    stride phases (`_phases`). Only parents with requires_grad get a
-    gradient. The node keeps no padded copy of x: the weight gradient pads
-    x.data again. No bias term; the op catalog always follows a
-    convolution with a normalization layer, which absorbs any constant
-    shift (`conv2d_norm`).
+    same columns, also built a few clips at a time, and its input gradient
+    `_correlate` of the output gradient with the flipped, channel-swapped
+    kernel, once per pair of stride phases (`_phases`). Only parents with
+    requires_grad get a gradient. The node keeps no padded copy of x: the
+    weight gradient pads x.data again. No bias term; the op catalog always
+    follows a convolution with a normalization layer, which absorbs any
+    constant shift (`conv2d_norm`).
     """
     x, w = as_tensor(x), as_tensor(w)
     ph, pw = _pair(padding)
@@ -622,9 +622,14 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1,
     def vjp(g):
         gw = dx = None
         if w.requires_grad:
-            xp = _pad(x.data, ph, pw)
-            gw = (g.reshape(bsz, groups, og, -1) @ _columns(xp, groups, geom)
-                  .swapaxes(-1, -2)).sum(axis=0).reshape(w.shape)
+            # per clip, g times its columns, built a few clips at a time;
+            # then one sum over clips
+            xp, gm = _pad(x.data, ph, pw), g.reshape(bsz, groups, og, -1)
+            per = np.empty((bsz, groups, og, cg * kh * kw))
+            for sl in _clips(bsz, 8 * cin * kh * kw * gm.shape[-1]):
+                np.matmul(gm[sl], _columns(xp[sl], groups, geom)
+                          .swapaxes(-1, -2), out=per[sl])
+            gw = per.sum(axis=0).reshape(w.shape)
         if x.requires_grad:
             wt = w.data.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)
             (qh, rows), (qw, cols) = (_phases(h, kh, sh, ph, dh),

@@ -27,7 +27,7 @@ from emodarts.ops import CNN_OPS, SEQNN_OPS, build_cnn_op, build_seq_op
 from emodarts.search import search
 from emodarts.supernet import build_supernet, reduction_positions
 from emodarts.config import SearchConfig
-from emodarts.tensor import Tensor, finite_diff_grad
+from emodarts.tensor import Tensor, cross_entropy, finite_diff_grad
 
 PASSIVE = {"skip_connect", "none"}
 
@@ -158,7 +158,7 @@ def test_criterion_01_gradients(verdict):
     for k, target in enumerate(targets):
 
         def build_loss(net=net, xb=xb, yb=yb):
-            return net.loss(Tensor(xb), yb)
+            return cross_entropy(net.forward_logits(Tensor(xb)), yb)
 
         if not _grad_matches(build_loss, target, weights + alphas):
             failures.append(f"supernet:t{k}")

@@ -448,6 +448,60 @@ class TestReplay:
         assert open(out, "rb").read() == open(new_out, "rb").read()
         assert open(hist, "rb").read() == open(redo / "h.csv", "rb").read()
 
+    def test_env_seeded_gen_data_replays_under_any_environment(
+            self, tmp_path, monkeypatch):
+        out = str(tmp_path / "d.edset")
+        monkeypatch.setenv("EMODARTS_SEED", "3")
+        assert main(["gen-data", "--out", out, "--speakers", "5", "--per",
+                     "1", "--dims", "8x8"]) == EXIT_OK
+        assert _manifest(out)["seed"] == 3
+        for name, env in (("unset", None), ("other", "8")):
+            if env is None:
+                monkeypatch.delenv("EMODARTS_SEED")
+            else:
+                monkeypatch.setenv("EMODARTS_SEED", env)
+            (tmp_path / name).mkdir()
+            new_out = str(tmp_path / name / "d.edset")
+            assert main(["replay", "--manifest", f"{out}.manifest.json",
+                         "--out", new_out]) == EXIT_OK
+            assert open(out, "rb").read() == open(new_out, "rb").read()
+            assert _manifest(new_out)["seed"] == 3
+
+    def test_config_seeded_search_replays_under_another_env_seed(
+            self, tmp_path, edset, monkeypatch):
+        ini = tmp_path / "seeded.ini"
+        ini.write_text(TINY_INI + "seed = 5\n")
+        out, hist = str(tmp_path / "g.json"), str(tmp_path / "h.csv")
+        monkeypatch.delenv("EMODARTS_SEED", raising=False)
+        assert main(["search", "--data", edset, "--out", out, "--history",
+                     hist, "--config", str(ini)]) == EXIT_OK
+        monkeypatch.setenv("EMODARTS_SEED", "9")
+        redo = tmp_path / "redo"
+        redo.mkdir()
+        assert main(["replay", "--manifest", f"{out}.manifest.json",
+                     "--out", str(redo / "g.json")]) == EXIT_OK
+        assert open(out, "rb").read() == open(redo / "g.json", "rb").read()
+        assert open(hist, "rb").read() == open(redo / "h.csv", "rb").read()
+        assert _manifest(redo / "g.json")["seed"] == 5
+
+    def test_replay_maps_opt_equals_path_outputs(self, tmp_path, edset, ini):
+        out, hist = tmp_path / "g.json", tmp_path / "h.csv"
+        assert main(["search", "--data", edset, f"--out={out}",
+                     f"--history={hist}", "--config", ini,
+                     "--seed", "6"]) == EXIT_OK
+        before = {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+                  for p in (out, hist)}
+        redo = tmp_path / "redo"
+        redo.mkdir()
+        assert main(["replay", "--manifest", f"{out}.manifest.json",
+                     "--out", str(redo / "g.json")]) == EXIT_OK
+        assert (redo / "g.json").read_bytes() == before[out][0]
+        assert (redo / "h.csv").read_bytes() == before[hist][0]
+        assert _manifest(redo / "g.json")["outputs"] == [
+            str(redo / "g.json"), str(redo / "h.csv")]
+        assert {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in (out, hist)} == before
+
     def test_replay_manifest_does_not_depend_on_the_working_directory(
             self, tmp_path, edset, ini, monkeypatch):
         out = str(tmp_path / "g.json")
@@ -491,6 +545,24 @@ class TestReplay:
                      "1", "--dims", "8x8", "--seed", "4"]) == EXIT_OK
         doc = _manifest(out)
         doc["command"] = "search"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        new_out = tmp_path / "redo.edset"
+        assert main(["replay", "--manifest", str(bad),
+                     "--out", str(new_out)]) == EXIT_IO
+        assert not new_out.exists()
+
+    @pytest.mark.parametrize("seed", [None, -1, True, "4"])
+    def test_manifest_without_a_seed_for_an_unseeded_argv(self, tmp_path,
+                                                          seed):
+        out = str(tmp_path / "d.edset")
+        assert main(["gen-data", "--out", out, "--speakers", "5", "--per",
+                     "1", "--dims", "8x8"]) == EXIT_OK
+        doc = _manifest(out)
+        if seed is None:
+            del doc["seed"]
+        else:
+            doc["seed"] = seed
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         new_out = tmp_path / "redo.edset"

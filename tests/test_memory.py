@@ -15,7 +15,8 @@ keeps no pre-norm map and no scaled copy, and a CNN cell rectifies each
 source node once. A Linear keeps its output only, and attention two
 (B, T, H) maps. Backward adds the slice reads of one parent into one
 zero-filled buffer. A depthwise conv over many clips builds its rows a
-few clips at a time. The gradients of the same ops are checked against
+few clips at a time, and a dense conv the columns of its weight
+gradient. The gradients of the same ops are checked against
 finite_diff_grad, and the one-node forms against the Tensor-op chains
 they replace, bit for bit.
 """
@@ -140,6 +141,23 @@ def test_depthwise_conv_over_64_clips_builds_its_rows_a_few_clips_at_a_time(
     (dx, gw), held = peak(lambda: out._vjp(g))
     assert len(built) > 2 and max(built) <= cap
     assert held - dx.nbytes - gw.nbytes <= cap
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_dense_conv_over_64_clips_builds_its_weight_gradient_columns_a_few_clips_at_a_time(
+        stride):
+    # a dense 5x5 conv's im2col columns of 64 clips are 25 times the map;
+    # the weight gradient builds at most COLUMN_BYTES of them at a time,
+    # beside the padded input, one weight-sized product per clip and the
+    # result
+    rng = np.random.default_rng(14)
+    x, w = Tensor(rng.normal(size=(64, 8, 32, 32))), leaf(rng, 8, 8, 5, 5)
+    out = conv2d(x, w, stride=stride, padding=2)
+    g = rng.normal(size=out.shape)
+    (dx, gw), held = peak(lambda: out._vjp(g))
+    padded = x.data.nbytes * (36 * 36) // (32 * 32)
+    assert dx is None
+    assert held - padded - 65 * gw.nbytes <= emodarts.tensor.COLUMN_BYTES
 
 
 @pytest.mark.parametrize("layers", [0, 3], ids=["single", "lockstep"])

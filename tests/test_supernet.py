@@ -4,7 +4,7 @@ partition, and end-to-end differentiability."""
 import numpy as np
 import pytest
 
-from emodarts import ContractViolation, Tensor
+from emodarts import ContractViolation, Tensor, cross_entropy
 from emodarts.config import SearchConfig
 from emodarts.supernet import (FactorizedReduce, Supernet, build_supernet,
                                flatten_bridge, reduction_positions)
@@ -101,7 +101,7 @@ def test_backward_reaches_both_parameter_groups():
     net = build_supernet(small_config(), rng(12), input_hw=(16, 16))
     x = Tensor(rng(13).normal(size=(4, 1, 16, 16)))
     labels = np.array([0, 1, 2, 3])
-    net.loss(x, labels).backward()
+    cross_entropy(net.forward_logits(x), labels).backward()
     weights, alphas = net.params(), net.arch_params()
     missing_w = [p for p in weights if p.grad is None]
     missing_a = [p for p in alphas if p.grad is None]
