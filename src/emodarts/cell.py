@@ -31,10 +31,10 @@ __all__ = ["MixedEdge", "Cell", "num_edges", "augment_scope",
            "check_retained"]
 
 
-def num_edges(b: int, num_inputs: int = 2) -> int:
-    """Edges in a cell with `b` intermediate nodes: every earlier node
-    feeds every intermediate, so b*num_inputs + b*(b-1)/2."""
-    return b * num_inputs + b * (b - 1) // 2
+def num_edges(b: int) -> int:
+    """Edges in a cell with two input nodes and `b` intermediate nodes:
+    every earlier node feeds every intermediate, so 2b + b(b-1)/2."""
+    return b * 2 + b * (b - 1) // 2
 
 
 def augment_scope(scope) -> list[str]:

@@ -8,11 +8,12 @@ export-dot (genome drawing), and replay (re-run a recorded manifest).
 
 Every producing command drops a <primary-out>.manifest.json next to its
 primary artifact recording the command, argument vector, effective seed,
-library versions, configuration, and input/output paths; nothing in any
-artifact depends on wall-clock time, so replaying a manifest with fresh
-output paths, under its recorded seed, reproduces the original bytes. Every file is written, and
-every text or container input read, through `artifacts`; the manifest is
-written last.
+library versions and configuration, and as inputs and outputs the file
+options that the command declares (`files` in `build_parser`); nothing in
+any artifact depends on wall-clock time, so replaying a manifest with
+fresh output paths, under its recorded seed, reproduces the original
+bytes. Every file is written, and every text or container input read,
+through `artifacts`; the manifest is written last.
 
 Exit codes: 0 success, 2 numeric fault during optimization (partial
 history is flushed first), 64 usage errors including unusable flag
@@ -80,33 +81,25 @@ def _dims(text: str):
     return h, w
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _at_least(kind, low):
+    """A finite `kind` (int or float) that is at least `low`."""
+    noun = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
         try:
-            v = int(text)
+            v = kind(text)
         except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not low <= v < float("inf"):
             raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}")
-        if v < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {v}")
+                f"expected {noun} >= {low}, got {v}")
         return v
     return parse
 
 
-_positive_int = _int_at_least(1)
-_seed_int = _int_at_least(0)
-
-
-def _noise(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= v < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number >= 0, got {v}")
-    return v
+_positive_int = _at_least(int, 1)
+_seed_int = _at_least(int, 0)
+_noise = _at_least(float, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims, default=(128, 128))
     p.add_argument("--noise", type=_noise, default=0.1)
     common(p, config=False)
-    p.set_defaults(func=_cmd_gen_data)
+    p.set_defaults(func=_cmd_gen_data, files=((), ("out",)))
 
     p = sub.add_parser("features",
                        help="compute features for WAV files into an EDSET")
@@ -141,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with columns file,label,speaker; file paths "
                         "resolve relative to the CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_features)
+    p.set_defaults(func=_cmd_features, files=(("index",), ("out",)))
 
     p = sub.add_parser("search", help="search a dataset, write a genome")
     p.add_argument("--data", required=True)
@@ -154,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain-all-edges", action="store_true",
                    help="keep every edge instead of the strongest two per node")
     common(p)
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search,
+                   files=(("data", "config"), ("out", "history")))
 
     p = sub.add_parser("derive",
                        help="train a genome from scratch, write a checkpoint")
@@ -164,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="training curve CSV")
     p.add_argument("--epochs", type=_positive_int, default=None)
     common(p)
-    p.set_defaults(func=_cmd_derive)
+    p.set_defaults(func=_cmd_derive, files=(("genome", "data", "config"),
+                                            ("out", "history")))
 
     p = sub.add_parser("baseline",
                        help="cross-validate the fixed reference models")
@@ -176,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_baseline,
+                   files=(("data", "config"), ("out", "scatter")))
 
     p = sub.add_parser("study",
                        help="cross scope catalogs with speaker folds")
@@ -191,12 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain-all-edges", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
-    p.set_defaults(func=_cmd_study)
+    p.set_defaults(func=_cmd_study,
+                   files=(("data", "config"), ("out", "scatter")))
 
     p = sub.add_parser("export-dot", help="draw a genome as Graphviz input")
     p.add_argument("--genome", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_dot)
+    p.set_defaults(func=_cmd_export_dot, files=(("genome",), ("out",)))
 
     p = sub.add_parser("replay",
                        help="re-run a manifest with fresh output paths")
@@ -240,8 +237,15 @@ def _load_config(path, overrides: dict) -> SearchConfig:
     return SearchConfig.from_dict(doc)
 
 
-def _write_manifest(argv: list, seed: int, config: SearchConfig | None,
-                    inputs: list, outputs: list, flags: dict) -> None:
+def _given_files(args) -> tuple[list, list]:
+    """The declared `files` options that were given, as (reads, writes)."""
+    return tuple([vars(args)[d] for d in dests if vars(args)[d]]
+                 for dests in args.files)
+
+
+def _write_manifest(args, argv: list, seed: int, config: SearchConfig | None,
+                    flags: dict, more_inputs=()) -> None:
+    reads, writes = _given_files(args)
     doc = {
         "command": argv[0],
         "argv": [str(a) for a in argv],
@@ -251,11 +255,11 @@ def _write_manifest(argv: list, seed: int, config: SearchConfig | None,
                      "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "config": None if config is None else config.to_dict(),
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "inputs": reads + list(more_inputs),
+        "outputs": writes,
         "flags": flags,
     }
-    write_file(f"{outputs[0]}.manifest.json",
+    write_file(f"{writes[0]}.manifest.json",
                json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -269,12 +273,11 @@ def _load_dataset(path) -> Dataset:
 # ---- commands ----
 
 def _cmd_gen_data(args, argv):
-    seed = _seed_opt(args)
-    seed = 0 if seed is None else seed
+    seed = _seed_opt(args) or 0
     ds = synth_dataset(args.speakers, args.per, dims=args.dims,
                        noise=args.noise, seed=seed)
     save_edset(ds, args.out)
-    _write_manifest(argv, seed, None, [], [args.out],
+    _write_manifest(args, argv, seed, None,
                     {"speakers": args.speakers, "per": args.per,
                      "dims": list(args.dims), "noise": args.noise})
     print(f"wrote {args.out}: {len(ds)} clips, "
@@ -294,9 +297,7 @@ def _cmd_features(args, argv):
     speaker_ids = sorted({r["speaker"] for r in rows})
     feats, labels, speakers, wav_paths = [], [], [], []
     for r in rows:
-        path = r["file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
+        path = os.path.join(base, r["file"])     # keeps an absolute file
         wav_paths.append(path)
         feats.append(pool_downsample(mfcc(load_wav(path))))
         labels.append(class_names.index(r["label"]))
@@ -308,8 +309,7 @@ def _cmd_features(args, argv):
                  seed=0, generator={"kind": "wav",
                                     "index": os.path.basename(args.index)})
     save_edset(ds, args.out)
-    _write_manifest(argv, 0, None, [args.index] + wav_paths, [args.out],
-                    {"count": len(ds)})
+    _write_manifest(args, argv, 0, None, {"count": len(ds)}, wav_paths)
     print(f"wrote {args.out}: {len(ds)} clips from {args.index}")
     return EXIT_OK
 
@@ -333,12 +333,9 @@ def _cmd_search(args, argv):
     genome = extract_genome(net, retain_all=args.retain_all_edges)
     flags = detect_degenerate(genome)
     write_file(args.out, serialize(genome))
-    outputs = [args.out]
     if args.history:
         write_history_csv(history, args.history)
-        outputs.append(args.history)
-    inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest(argv, cfg.seed, cfg, inputs, outputs,
+    _write_manifest(args, argv, cfg.seed, cfg,
                     {"scope": args.scope,
                      "retain_all_edges": bool(args.retain_all_edges),
                      "degenerate_cnn": flags["cnn"],
@@ -364,13 +361,10 @@ def _cmd_derive(args, argv):
             write_train_csv(exc.history, args.history)
         raise
     save_checkpoint(model, args.out)
-    outputs = [args.out]
     if args.history:
         write_train_csv(history, args.history)
-        outputs.append(args.history)
     ua_v, wa_v = evaluate(model, (ds.features, ds.labels))
-    inputs = [args.genome, args.data] + ([args.config] if args.config else [])
-    _write_manifest(argv, cfg.seed, cfg, inputs, outputs, {})
+    _write_manifest(args, argv, cfg.seed, cfg, {})
     print(f"wrote {args.out}; training-set ua={ua_v:.2f} wa={wa_v:.2f}")
     return EXIT_OK
 
@@ -411,12 +405,9 @@ def _run_study(args, argv, cfg, ds, scopes, flags, **options):
     results, scatter = study(ds, cfg, scopes=scopes, n_folds=args.folds,
                              seed=cfg.seed, jobs=args.jobs, **options)
     write_results_csv(results, args.out)
-    outputs = [args.out]
     if args.scatter:
         write_scatter_csv(scatter, args.scatter)
-        outputs.append(args.scatter)
-    inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest(argv, cfg.seed, cfg, inputs, outputs,
+    _write_manifest(args, argv, cfg.seed, cfg,
                     {**flags, "folds": args.folds, "jobs": args.jobs})
     failed = sum(1 for r in results if r.ua is None)
     note = f" ({failed} fold runs failed)" if failed else ""
@@ -427,7 +418,7 @@ def _run_study(args, argv, cfg, ds, scopes, flags, **options):
 def _cmd_export_dot(args, argv):
     genome = deserialize(read_text(args.genome, "genome"))
     write_file(args.out, export_dot(genome))
-    _write_manifest(argv, 0, None, [args.genome], [args.out], {})
+    _write_manifest(args, argv, 0, None, {})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -449,10 +440,9 @@ def _cmd_replay(args, argv):
     if old_argv[:1] != [doc["command"]] or doc["command"] == "replay":
         raise DataError(f"manifest argv does not run its recorded command "
                         f"{doc['command']!r}, or runs replay")
-    out_dir = os.path.dirname(args.out)
-    mapping = {outputs[0]: args.out}
-    for extra in outputs[1:]:
-        mapping[extra] = os.path.join(out_dir, os.path.basename(extra))
+    mapping = {p: os.path.join(os.path.dirname(args.out), os.path.basename(p))
+               for p in outputs[1:]}
+    mapping[outputs[0]] = args.out
     new_argv = []
     for tok in old_argv:
         opt, eq, val = tok.partition("=")
@@ -464,6 +454,11 @@ def _cmd_replay(args, argv):
         recorded = build_parser().parse_args(new_argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    reads, writes = ([os.path.abspath(p) for p in paths]
+                     for paths in _given_files(recorded))
+    if len(set(writes)) < len(writes) or set(writes) & set(reads):
+        raise ContractViolation(f"replay refuses to write {writes}: two "
+                                f"share a path, or one is read: {reads}")
     # a seed from EMODARTS_SEED or a config file is pinned, so that the
     # environment of the replay cannot change it
     if "seed" in vars(recorded) and recorded.seed is None:

@@ -46,12 +46,12 @@ LOG_FLOOR = 1e-10
 CLASS_NAMES = ["anger", "happiness", "neutral", "sadness"]
 
 
-def pad_or_truncate(wave: np.ndarray, n: int = CLIP_SAMPLES) -> np.ndarray:
-    """Fix clip length by zero-padding or cutting at the tail."""
+def pad_or_truncate(wave: np.ndarray) -> np.ndarray:
+    """Fix clip length to CLIP_SAMPLES: zero-pad or cut at the tail."""
     wave = np.asarray(wave, dtype=np.float64).ravel()
-    if wave.size >= n:
-        return wave[:n].copy()
-    return np.concatenate([wave, np.zeros(n - wave.size)])
+    if wave.size >= CLIP_SAMPLES:
+        return wave[:CLIP_SAMPLES].copy()
+    return np.concatenate([wave, np.zeros(CLIP_SAMPLES - wave.size)])
 
 
 def hz_to_mel(f):
@@ -69,16 +69,16 @@ def mel_to_hz(m):
     return np.where(m < 15.0, lin, log)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = FRAME_SIZE,
-                   sr: int = SAMPLE_RATE) -> np.ndarray:
-    """(n_mels, n_fft//2 + 1) triangular filters, each normalized to unit
-    area (weight 2 / bandwidth), evaluated at the FFT bin frequencies."""
-    n_bins = n_fft // 2 + 1
-    freqs = np.arange(n_bins) * (sr / n_fft)
-    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), n_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """(N_MELS, FRAME_SIZE//2 + 1) triangular filters of unit area (weight
+    2 / bandwidth), evaluated at the FFT bin frequencies."""
+    n_bins = FRAME_SIZE // 2 + 1
+    freqs = np.arange(n_bins) * (SAMPLE_RATE / FRAME_SIZE)
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2.0),
+                          N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    fb = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
+    fb = np.zeros((N_MELS, n_bins))
+    for m in range(N_MELS):
         lo, mid, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (freqs - lo) / max(mid - lo, 1e-12)
         down = (hi - freqs) / max(hi - mid, 1e-12)
@@ -161,20 +161,19 @@ class Dataset:
 
 
 def synth_dataset(n_speakers: int, per: int, dims=(128, 128),
-                  noise: float = 0.1, seed: int = 0,
-                  n_classes: int = 4) -> Dataset:
+                  noise: float = 0.1, seed: int = 0) -> Dataset:
     """Deterministic ridge corpus: `per` clips per class per speaker.
 
-    Class k centers its ridge at row (k + 0.5) * H / n_classes and wobbles
-    it with k+1 sine cycles across the width (amplitude H/16); speakers
-    add a fixed row offset (within +-H/32) and gain; every sample gets its
-    own phase and additive noise.
+    Class k of the four CLASS_NAMES centers its ridge at row
+    (k + 0.5) * H / 4 and wobbles it with k+1 sine cycles across the width
+    (amplitude H/16); speakers add a fixed row offset (within +-H/32) and
+    gain; every sample gets its own phase and additive noise.
     """
     if n_speakers < 5:
         raise ContractViolation(
             f"need at least 5 speakers for meaningful folds, got {n_speakers}")
-    if per < 1 or n_classes < 2:
-        raise ContractViolation("need per >= 1 and n_classes >= 2")
+    if per < 1:
+        raise ContractViolation(f"need per >= 1, got {per}")
     if not 0.0 <= noise < np.inf:
         raise ContractViolation(f"noise must be finite and >= 0, got {noise}")
     h, w = dims
@@ -187,8 +186,8 @@ def synth_dataset(n_speakers: int, per: int, dims=(128, 128),
     cols = np.arange(w)[None, :]
     feats, labels, speakers = [], [], []
     for s in range(n_speakers):
-        for k in range(n_classes):
-            base = (k + 0.5) * h / n_classes + offsets[s]
+        for k in range(len(CLASS_NAMES)):
+            base = (k + 0.5) * h / len(CLASS_NAMES) + offsets[s]
             omega = 2.0 * np.pi * (k + 1) / w
             for _ in range(per):
                 phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -199,18 +198,17 @@ def synth_dataset(n_speakers: int, per: int, dims=(128, 128),
                 feats.append(img)
                 labels.append(k)
                 speakers.append(s)
-    names = (list(CLASS_NAMES) if n_classes == len(CLASS_NAMES)
-             else [f"class{k}" for k in range(n_classes)])
     return Dataset(
         features=np.stack(feats),
         labels=np.asarray(labels, dtype=np.int64),
         speakers=np.asarray(speakers, dtype=np.int64),
-        class_names=names,
+        class_names=list(CLASS_NAMES),
         speaker_ids=[f"spk{s:02d}" for s in range(n_speakers)],
         seed=int(seed),
         generator={"kind": "ridge", "noise": float(noise),
                    "dims": [int(h), int(w)], "per": int(per),
-                   "n_speakers": int(n_speakers), "n_classes": int(n_classes)})
+                   "n_speakers": int(n_speakers),
+                   "n_classes": len(CLASS_NAMES)})
 
 
 EDSET_FORMAT = "edset"

@@ -294,8 +294,9 @@ def study(dataset: Dataset, config: SearchConfig,
     tasks = [(split, scope, fold_seed(seed, scope, split.fold))
              for scope in scopes for split in splits]
     shared = (dataset, config, retain_all, search_epochs, train_epochs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+    workers = min(jobs, len(tasks))   # fork starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
                                  initargs=shared) as pool:
             results = list(pool.map(_study_task, tasks))
     else:

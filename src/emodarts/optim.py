@@ -51,12 +51,13 @@ class Adam:
     """Adam with bias correction and L2-style weight decay folded into the
     gradient (not the decoupled variant)."""
 
+    eps = 1e-8
+
     def __init__(self, params, lr: float = 3e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-3):
+                 weight_decay: float = 1e-3):
         self.params: list[Tensor] = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]

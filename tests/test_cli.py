@@ -520,6 +520,30 @@ class TestReplay:
         assert _manifest(tmp_path / "one" / "redo" / "g.json")["outputs"] == [
             "redo/g.json", "redo/h.csv"]
 
+    def test_replay_refuses_two_outputs_on_one_path(self, tmp_path, edset,
+                                                    ini):
+        for name in ("a", "b", "new"):
+            (tmp_path / name).mkdir()
+        out = str(tmp_path / "a" / "res.csv")
+        assert main(["baseline", "--data", edset, "--kind", "cnn", "--folds",
+                     "2", "--epochs", "1", "--out", out, "--scatter",
+                     str(tmp_path / "b" / "res.csv"), "--config", ini,
+                     "--seed", "0"]) == EXIT_OK
+        # the scatter CSV keeps its name in --out's directory: new/res.csv
+        assert main(["replay", "--manifest", f"{out}.manifest.json", "--out",
+                     str(tmp_path / "new" / "res.csv")]) == EXIT_USAGE
+        assert list((tmp_path / "new").iterdir()) == []
+
+    def test_replay_refuses_to_overwrite_an_input(self, tmp_path, edset, ini):
+        out = str(tmp_path / "g.json")
+        assert main(["search", "--data", edset, "--out", out, "--config", ini,
+                     "--seed", "6"]) == EXIT_OK
+        before = open(edset, "rb").read()
+        assert main(["replay", "--manifest", f"{out}.manifest.json",
+                     "--out", edset]) == EXIT_USAGE
+        assert open(edset, "rb").read() == before
+        assert not (tmp_path / "tiny.edset.manifest.json").exists()
+
     def test_manifest_missing(self, tmp_path):
         assert main(["replay", "--manifest", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "x")]) == EXIT_IO
@@ -680,3 +704,47 @@ def test_out_of_range_config_value_exits_74(tmp_path, edset, line):
                  "cnn_lstm", "--folds", "2", "--epochs", "1",
                  "--config", str(cfg)]) == EXIT_IO
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features", "search", "derive",
+                                     "baseline", "study", "export-dot"])
+def test_manifest_lists_the_declared_file_options(tmp_path, edset, ini,
+                                                  command):
+    rng = np.random.default_rng(0)
+    for name in ("a.wav", "b.wav"):
+        _write_wav(tmp_path / name, rng.normal(size=4096) * 8000)
+    index = tmp_path / "index.csv"
+    index.write_text("file,label,speaker\na.wav,happy,s1\nb.wav,sad,s2\n")
+    genome = tmp_path / "g.json"
+    genome.write_bytes(_genome_bytes())
+    t = str(tmp_path)
+    reads, writes, rest = {
+        "features": ([("--index", str(index))], [("--out", f"{t}/w.edset")],
+                     []),
+        "search": ([("--data", edset), ("--config", ini)],
+                   [("--out", f"{t}/s.json"), ("--history", f"{t}/h.csv")],
+                   ["--epochs", "1"]),
+        "derive": ([("--genome", str(genome)), ("--data", edset),
+                    ("--config", ini)],
+                   [("--out", f"{t}/m.ckpt"), ("--history", f"{t}/t.csv")],
+                   ["--epochs", "1"]),
+        "baseline": ([("--data", edset), ("--config", ini)],
+                     [("--out", f"{t}/r.csv"), ("--scatter", f"{t}/s.csv")],
+                     ["--kind", "cnn", "--folds", "2", "--epochs", "1"]),
+        "study": ([("--data", edset), ("--config", ini)],
+                  [("--out", f"{t}/r.csv"), ("--scatter", f"{t}/s.csv")],
+                  ["--scopes", "RNN Only", "--folds", "2", "--search-epochs",
+                   "1", "--train-epochs", "1"]),
+        "export-dot": ([("--genome", str(genome))], [("--out", f"{t}/g.dot")],
+                       []),
+    }[command]
+    # options go in reverse, so the manifest order is the declared one
+    argv = [command] + rest
+    for opt, path in reversed(reads + writes):
+        argv += [opt, path]
+    assert main(argv) == EXIT_OK
+    doc = _manifest(writes[0][1])
+    wavs = [str(tmp_path / n) for n in ("a.wav", "b.wav")]
+    assert doc["inputs"] == [p for _, p in reads] + (
+        wavs if command == "features" else [])
+    assert doc["outputs"] == [p for _, p in writes]

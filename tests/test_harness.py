@@ -296,6 +296,32 @@ class TestStudy:
         gc.collect()
         assert alive() is None     # no module state keeps the dataset
 
+    def test_jobs_start_at_most_one_worker_per_fold_run(self, tiny_ds,
+                                                        monkeypatch):
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                built.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_shared", ())
+        kw = dict(n_folds=2, seed=0, scopes=["cnn"], train_epochs=1)
+        results, _ = study(tiny_ds, _tiny_cfg(epochs=1), jobs=64, **kw)
+        assert built == [2] and len(results) == 2
+        study(tiny_ds, _tiny_cfg(epochs=1), jobs=1, **kw)
+        assert built == [2]
+
     def test_unknown_scope_rejected_before_any_fold(self, tiny_ds,
                                                     monkeypatch):
         ran = []
